@@ -2,7 +2,9 @@
 
 ``resolve_backend`` maps user-facing selector strings to instances:
 
-* ``"local"`` — the in-process :class:`LocalPoolBackend` (default).
+* ``"local"`` (default) — with ``jobs=1`` the :class:`InlineBackend`,
+  which runs points one at a time in this process; with ``jobs > 1`` the
+  :class:`LocalPoolBackend`, a resilient pool of ``jobs`` processes.
 * ``"file:<campaign-dir>"`` — a :class:`FileQueueBackend` coordinating
   externally started ``repro worker`` processes on a shared filesystem.
 
@@ -17,11 +19,12 @@ from typing import Optional, Union
 
 from repro.backends.base import SweepBackend
 from repro.backends.filequeue import FileQueueBackend
-from repro.backends.local import LocalPoolBackend
+from repro.backends.local import InlineBackend, LocalPoolBackend
 
 __all__ = [
     "BACKEND_ENV_VAR",
     "FileQueueBackend",
+    "InlineBackend",
     "LocalPoolBackend",
     "SweepBackend",
     "resolve_backend",
@@ -36,8 +39,10 @@ def resolve_backend(
     """Build a backend from a selector string, instance, or the environment.
 
     ``None`` consults ``$REPRO_BACKEND`` and falls back to ``"local"``.
-    ``jobs`` sizes the local pool (ignored by distributed backends,
-    whose parallelism is however many workers join the campaign).
+    ``jobs`` picks the local backend — in-process for ``1``, a pool of
+    ``jobs`` processes otherwise — and is ignored by distributed
+    backends, whose parallelism is however many workers join the
+    campaign.
     """
     if isinstance(selector, SweepBackend):
         return selector
@@ -50,6 +55,8 @@ def resolve_backend(
             raise ValueError(
                 f"backend selector {selector!r}: 'local' takes no argument"
             )
+        if jobs == 1:
+            return InlineBackend()
         return LocalPoolBackend(jobs=jobs)
     if name == "file":
         if not arg:

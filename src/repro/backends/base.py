@@ -2,16 +2,17 @@
 
 A :class:`SweepBackend` is the execution substrate of one sweep
 campaign: the :class:`~repro.experiments.sweep.SweepEngine` hands it an
-ordered mapping of *work units* (simulation points, or same-shape
-chunks of points) and two streaming callbacks, and the backend runs
-every unit to completion or terminal failure — however it likes:
-in-process on a pool (:class:`~repro.backends.local.LocalPoolBackend`)
-or cooperatively with any number of worker processes on a shared
+ordered mapping of *work units* (one simulation point each) and two
+streaming callbacks, and the backend runs every unit to completion or
+terminal failure — however it likes: one at a time in the calling
+process (:class:`~repro.backends.local.InlineBackend`), on a local
+process pool (:class:`~repro.backends.local.LocalPoolBackend`) or
+cooperatively with any number of worker processes on a shared
 filesystem (:class:`~repro.backends.filequeue.FileQueueBackend`).
 
 The contract is exactly the one
 :meth:`repro.resilience.ResilientExecutor.run` established — the local
-backend *is* that executor, and every other backend must be
+pool backend *is* that executor, and every other backend must be
 indistinguishable from it result-wise:
 
 * retried units re-run identical configurations, so results are

@@ -49,7 +49,9 @@ Protocol
   result path).  Results are pure functions of the configs, so
   whichever copy finishes first wins by atomic rename and the loser's
   identical payload is a no-op.
-* **Determinism**: a unit computes the same points on every host, every
+* **Units**: one unit is one simulation point — its queue body carries
+  exactly one configuration and its result exactly one point.
+* **Determinism**: a unit computes the same point on every host, every
   attempt, every copy — campaigns with injected worker kills are
   bit-identical to clean single-process runs.
 
@@ -90,8 +92,9 @@ __all__ = [
     "try_claim",
 ]
 
-#: Bump when the on-disk campaign protocol changes incompatibly.
-PROTOCOL_VERSION = 1
+#: Bump when the on-disk campaign protocol changes incompatibly.  Version
+#: 2 carries one ``config`` per unit body and one ``point`` per result.
+PROTOCOL_VERSION = 2
 
 #: Grace before an *undecodable* lease is quarantined: its writer may be
 #: mid-write right now (the O_EXCL create and the payload write are two
@@ -306,8 +309,7 @@ class _Unit:
 
     uid: str
     key: Hashable
-    mode: str  # "point" | "chunk"
-    cfgs: List[SimulationConfig]
+    cfg: SimulationConfig
     attempt: int = 0  # charged attempts so far
     requeue_at: Optional[float] = None  # backoff gate for republish
     first_claim: Optional[float] = None
@@ -395,21 +397,12 @@ class FileQueueBackend(SweepBackend):
         self.max_worker_restarts = int(max_worker_restarts)
 
     # -- unit (de)hydration --------------------------------------------
-    @staticmethod
-    def _split_task(args: tuple) -> Tuple[str, List[SimulationConfig]]:
-        """Map an engine task-args tuple to (mode, configs)."""
-        payload = args[0]
-        if isinstance(payload, SimulationConfig):
-            return "point", [payload]
-        return "chunk", list(payload)
-
     def _unit_body(self, unit: _Unit) -> dict:
         return {
             "protocol": PROTOCOL_VERSION,
             "unit": unit.uid,
-            "mode": unit.mode,
             "attempt": unit.attempt,
-            "configs": [asdict(c) for c in unit.cfgs],
+            "config": asdict(unit.cfg),
         }
 
     def _publish(
@@ -482,9 +475,9 @@ class FileQueueBackend(SweepBackend):
         on_retry: Optional[Callable] = None,
         store: Optional[object] = None,
     ) -> Tuple[Dict[Hashable, object], Dict[Hashable, TaskFailure]]:
-        # ``fn`` executes on the *worker* side (the unit body names the
-        # mode; workers run the engine's own point/chunk functions), so
-        # it is unused here beyond having defined the task shapes.
+        # ``fn`` executes on the *worker* side (workers run the engine's
+        # own point function on each unit's one config), so it is unused
+        # here.
         del fn
         ensure_layout(self.root)
         sweep_stale(
@@ -509,10 +502,7 @@ class FileQueueBackend(SweepBackend):
         # Hydrate units with campaign-unique ids.
         keys = list(tasks)
         salt_blob = json.dumps(
-            [self._split_task(tasks[k])[0] for k in keys]
-            + [[asdict(c) for c in self._split_task(tasks[k])[1]] for k in keys],
-            sort_keys=True,
-            default=str,
+            [asdict(tasks[k][0]) for k in keys], sort_keys=True, default=str
         )
         campaign = hashlib.sha256(salt_blob.encode()).hexdigest()[:8]
         atomic_write_json(
@@ -527,9 +517,8 @@ class FileQueueBackend(SweepBackend):
         units: Dict[str, _Unit] = {}
         by_key: Dict[Hashable, str] = {}
         for i, key in enumerate(keys):
-            mode, cfgs = self._split_task(tasks[key])
             uid = f"{campaign}-{i:05d}"
-            units[uid] = _Unit(uid=uid, key=key, mode=mode, cfgs=cfgs)
+            units[uid] = _Unit(uid=uid, key=key, cfg=tasks[key][0])
             by_key[key] = uid
 
         results: Dict[Hashable, object] = {}
@@ -585,32 +574,19 @@ class FileQueueBackend(SweepBackend):
                 pass
 
         def consume_result(unit: _Unit, payload: dict) -> None:
-            points = payload.get("points")
-            if not isinstance(points, list) or len(points) != len(unit.cfgs):
-                discard_result(unit)
-                requeue(
-                    unit,
-                    "exception",
-                    "malformed result payload",
-                    time.monotonic(),
-                )
-                return
             try:
-                pts = [
-                    SweepPoint(
-                        rate=float(p["rate"]),
-                        latency=float(p["latency"]),
-                        saturated=bool(p["saturated"]),
-                    )
-                    for p in points
-                ]
+                p = payload["point"]
+                value = SweepPoint(
+                    rate=float(p["rate"]),
+                    latency=float(p["latency"]),
+                    saturated=bool(p["saturated"]),
+                )
             except (KeyError, TypeError, ValueError):
                 discard_result(unit)
                 requeue(
                     unit, "exception", "malformed result payload", time.monotonic()
                 )
                 return
-            value: object = pts[0] if unit.mode == "point" else pts
             if unit.first_claim is not None:
                 durations.append(time.monotonic() - unit.first_claim)
             results[unit.key] = value

@@ -11,11 +11,10 @@ directory — run the same loop:
    re-read the queue file — it is authoritative for the attempt number
    and may have been retracted by the coordinator in between — and
    release the lease if the unit vanished.
-2. **Compute**: run the unit's configurations through the engine's own
-   point/chunk functions (:func:`~repro.experiments.sweep._simulate_point`
-   / ``_simulate_chunk``), so a distributed point is bit-identical to a
-   local one.
-3. **Persist**: write each completed point to the campaign's shared
+2. **Compute**: run the unit's one configuration through the engine's
+   own point function (:func:`~repro.experiments.sweep._simulate_point`),
+   so a distributed point is bit-identical to a local one.
+3. **Persist**: write the completed point to the campaign's shared
    :class:`~repro.store.ResultStore` (if ``meta.json`` names one), then
    publish ``results/<unit>.json`` with an atomic tmp+rename — *before*
    releasing the lease, so there is no window where a unit is neither
@@ -36,7 +35,7 @@ not started, removes its heartbeat file, and exits 0.  The coordinator's
 
 Fault injection (``REPRO_FAULTS``): the ``worker-kill``,
 ``heartbeat-stall`` and ``lease-steal`` kinds fire here, keyed on the
-unit's first per-point seed and the attempt number — the same
+unit's per-point seed and the attempt number — the same
 deterministic SHA-256 draw scheme as the pool-worker ``crash``/``hang``
 kinds, and like them gated so they only fire in a real ``repro worker``
 process (:func:`repro.faults.mark_worker_process`), never inside a test
@@ -51,7 +50,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro import faults
 from repro.backends.filequeue import (
@@ -232,41 +231,33 @@ class FileQueueWorker:
     def _run_unit(self, body: dict) -> dict:
         """Execute one unit body; returns the result-file payload."""
         # Lazy import: the engine module imports the backends package.
-        from repro.experiments.sweep import _simulate_chunk, _simulate_point
+        from repro.experiments.sweep import _simulate_point
 
         uid = str(body.get("unit"))
         attempt = int(body.get("attempt", 0))
-        mode = body.get("mode")
         try:
-            cfgs = [config_from_dict(c) for c in body.get("configs", [])]
-            if not cfgs or mode not in ("point", "chunk"):
+            raw = body.get("config")
+            if not isinstance(raw, dict):
                 raise ValueError(f"malformed unit body for {uid!r}")
-            fault_key = cfgs[0].seed
-            faults.maybe_worker_kill(fault_key, attempt)
-            self._maybe_steal_lease(fault_key, attempt)
-            self._maybe_stall(fault_key, attempt)
-            if mode == "point":
-                points = [_simulate_point(cfgs[0], attempt)]
-            else:
-                points = _simulate_chunk(cfgs, attempt)
+            cfg = config_from_dict(raw)
+            faults.maybe_worker_kill(cfg.seed, attempt)
+            self._maybe_steal_lease(cfg.seed, attempt)
+            self._maybe_stall(cfg.seed, attempt)
+            point = _simulate_point(cfg, attempt)
             store = self._campaign_store()
             if store is not None:
-                for cfg, point in zip(cfgs, points):
-                    store.put(cfg, point)
+                store.put(cfg, point)
             return {
                 "protocol": PROTOCOL_VERSION,
                 "unit": uid,
                 "attempt": attempt,
                 "worker": self.worker_id,
                 "status": "ok",
-                "points": [
-                    {
-                        "rate": p.rate,
-                        "latency": p.latency,
-                        "saturated": p.saturated,
-                    }
-                    for p in points
-                ],
+                "point": {
+                    "rate": point.rate,
+                    "latency": point.latency,
+                    "saturated": point.saturated,
+                },
             }
         except Exception as exc:  # noqa: BLE001 - reported, never raised
             return {

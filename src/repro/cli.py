@@ -21,10 +21,11 @@ figure is near-free; ``--no-cache`` bypasses the cache.
 Sweeps are fault-tolerant: each simulation point is retried up to
 ``--max-retries`` times with capped exponential backoff (retried points
 re-run the same per-point seed, so results stay bit-identical), a hung
-point is killed after ``--point-timeout`` seconds, and every completed
-point is checkpointed to a JSONL journal next to the cache — an
-interrupted ``panel``/``figure`` run re-invoked with ``--resume`` picks
-up where it left off.  Points that exhaust their retry budget are
+point is killed after ``--point-timeout`` seconds (``--jobs > 1`` on the
+local backend only; anywhere else the option is an error, exit 2), and
+every completed point is checkpointed to a JSONL journal next to the
+cache — an interrupted ``panel``/``figure`` run re-invoked with
+``--resume`` picks up where it left off.  Points that exhaust their retry budget are
 reported per panel and fail the command (exit 1) unless
 ``--allow-failures`` opts back into shipping a partial sweep.
 
@@ -141,10 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measured cycles per simulation point")
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="simulation worker processes (default 1)")
-        p.add_argument("--batch", type=_positive_int, default=None,
-                       metavar="B",
-                       help="same-shape simulation points advanced per "
-                       "batched engine call (default $REPRO_SIM_BATCH or 1)")
         p.add_argument("--no-cache", action="store_true",
                        help="bypass the on-disk sweep result cache")
         p.add_argument("--seed", type=int, default=42,
@@ -154,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--point-timeout", type=float, default=None,
                        metavar="SECS",
                        help="wall-clock seconds per point attempt before the "
-                       "worker is presumed hung (needs --jobs > 1)")
+                       "worker is presumed hung (needs --jobs > 1 on the "
+                       "local backend; an error otherwise)")
         p.add_argument("--resume", action="store_true",
                        help="restore checkpointed points of an interrupted "
                        "run from the campaign journal")
@@ -334,7 +332,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _sweep_engine(args: argparse.Namespace) -> SweepEngine:
     return SweepEngine(
         jobs=args.jobs,
-        batch=args.batch,
         use_cache=not args.no_cache,
         max_retries=args.max_retries,
         point_timeout=args.point_timeout,
@@ -392,9 +389,8 @@ def _print_resilience(engine: SweepEngine) -> None:
               f"{stats.failures} failed points")
 
 
-def _cmd_panel(args: argparse.Namespace) -> int:
+def _cmd_panel(args: argparse.Namespace, engine: SweepEngine) -> int:
     spec = get_panel(args.name)
-    engine = _sweep_engine(args)
     result = engine.run_panel(
         spec, simulate=args.simulate, seed=args.seed, measure_cycles=args.cycles
     )
@@ -403,9 +399,8 @@ def _cmd_panel(args: argparse.Namespace) -> int:
     return _failure_exit(args, _failed_points([result]))
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
+def _cmd_figure(args: argparse.Namespace, engine: SweepEngine) -> int:
     specs = panels_of_figure(args.number)
-    engine = _sweep_engine(args)
     results = engine.run_panels(
         specs, simulate=args.simulate, seed=args.seed, measure_cycles=args.cycles
     )
@@ -527,10 +522,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_saturation(args)
     if args.command == "simulate":
         return _cmd_simulate(args)
-    if args.command == "panel":
-        return _cmd_panel(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
+    if args.command in ("panel", "figure"):
+        try:
+            engine = _sweep_engine(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if args.command == "panel":
+            return _cmd_panel(args, engine)
+        return _cmd_figure(args, engine)
     if args.command == "bench":
         return _cmd_bench(args)
     if args.command == "list-panels":

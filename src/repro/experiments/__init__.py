@@ -13,7 +13,8 @@ flit-level simulator.
   simulation points with deterministic per-point seeds, warm-started
   model solves, and the on-disk result cache.
 * :mod:`~repro.experiments.runner` — the legacy one-call panel runners,
-  now thin wrappers over the engine's sequential (``jobs=1``) path.
+  now thin wrappers over the engine at ``jobs=1`` (its in-process
+  backend).
 * :mod:`~repro.experiments.report` — renders the series as the ASCII
   tables the benchmarks print and computes the shape metrics recorded in
   EXPERIMENTS.md.

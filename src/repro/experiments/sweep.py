@@ -4,33 +4,35 @@ Every figure of the paper is a *load sweep*: the analytical model and
 the flit-level simulator evaluated over a grid of injection rates.  The
 :class:`SweepEngine` is the one place that work is orchestrated:
 
-Parallel simulation
+One campaign loop
     Simulation points — of one panel, or of every panel of a figure at
-    once — run concurrently on a
-    :class:`concurrent.futures.ProcessPoolExecutor` with ``jobs``
-    workers.  Each grid point gets a *deterministic per-point seed*
-    derived from ``(base seed, panel name, point index)`` via SHA-256
+    once — run as one campaign whose work unit is a single point.  Each
+    grid point gets a *deterministic per-point seed* derived from
+    ``(base seed, panel name, point index)`` via SHA-256
     (:func:`point_seed`), so results are bit-identical for any ``jobs``
-    value: ``jobs=1`` runs the exact same configurations sequentially
-    and merely stops early at the first saturated point, while
-    ``jobs>1`` evaluates the grid concurrently and truncates the series
-    at the first saturated point afterwards — the returned
-    :class:`~repro.core.results.SweepResult` is identical either way.
+    value: ``jobs=1`` runs the points one at a time and never starts a
+    point past a panel's first saturated one, while ``jobs>1`` runs
+    them concurrently and cancels queued points past it as soon as it
+    is known.  Either way the series is truncated at the first
+    saturated point, so the returned
+    :class:`~repro.core.results.SweepResult` is identical.
 
 Pluggable execution backends
-    Parallel campaigns run on a :class:`~repro.backends.SweepBackend`:
-    the default :class:`~repro.backends.LocalPoolBackend` is the
-    resilient in-process pool below, byte-for-byte the pre-backend
-    engine; ``backend="file:<campaign-dir>"`` (or
-    ``REPRO_BACKEND=file:<dir>``) coordinates any number of ``repro
-    worker`` processes across hosts sharing a filesystem
-    (:class:`~repro.backends.FileQueueBackend`) with lease-based
-    claiming, heartbeat health monitoring and crash-consistent requeue
-    — results stay bit-identical on every backend.
+    Every campaign runs on a :class:`~repro.backends.SweepBackend`.
+    The default ``local`` selector resolves to the
+    :class:`~repro.backends.InlineBackend` (in this process) for
+    ``jobs=1`` and to the :class:`~repro.backends.LocalPoolBackend` (a
+    resilient pool of ``jobs`` processes) otherwise;
+    ``backend="file:<campaign-dir>"`` (or ``REPRO_BACKEND=file:<dir>``)
+    coordinates any number of ``repro worker`` processes across hosts
+    sharing a filesystem (:class:`~repro.backends.FileQueueBackend`)
+    with lease-based claiming, heartbeat health monitoring and
+    crash-consistent requeue — results stay bit-identical on every
+    backend.
 
 Fault tolerance
-    Points run under a :class:`~repro.resilience.ResilientExecutor`:
-    every attempt gets a wall-clock timeout (``point_timeout``), failed
+    Points run under the backend's retry policy: on the pool every
+    attempt gets a wall-clock timeout (``point_timeout``), failed
     attempts are retried with capped exponential backoff
     (``max_retries``), a crashed worker rebuilds the pool and resubmits
     only the unfinished points, and each completed point is cached and
@@ -78,8 +80,8 @@ On-disk result cache
     other hosts populate the same store the local engine reads.
 
 The legacy entry points :func:`repro.experiments.runner.run_panel` and
-``run_panel_model_only`` delegate here with ``jobs=1`` — the sequential
-path is the degenerate case, not a separate implementation.
+``run_panel_model_only`` delegate here with ``jobs=1``, which runs the
+same campaign loop on the in-process backend.
 """
 
 from __future__ import annotations
@@ -88,13 +90,12 @@ import hashlib
 import json
 import math
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.backends import SweepBackend, resolve_backend
+from repro.backends import LocalPoolBackend, SweepBackend, resolve_backend
 from repro.core.model import HotSpotLatencyModel
 from repro.core.results import SweepPoint, SweepResult
 from repro.experiments.figures import PanelSpec
@@ -105,15 +106,8 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.simulator.config import SimulationConfig
-from repro.simulator.sim import Simulation, run_batch
-from repro.store import (
-    CACHE_VERSION as _CACHE_VERSION,
-    TMP_MAX_AGE_SECONDS as _TMP_MAX_AGE_SECONDS,
-    ResultStore,
-    config_key,
-    default_store_dir,
-    payload_checksum as _payload_checksum,
-)
+from repro.simulator.sim import Simulation
+from repro.store import ResultStore, config_key, default_store_dir
 
 __all__ = [
     "PanelResult",
@@ -121,18 +115,12 @@ __all__ = [
     "config_key",
     "default_cache_dir",
     "point_seed",
-    "sim_batch_size",
     "sim_jobs",
     "sim_measure_cycles",
 ]
 
 #: Bump when the checkpoint-journal campaign format changes.
 _JOURNAL_VERSION = 1
-
-#: Back-compat alias: the on-disk point cache grew into the shared
-#: content-addressed :class:`repro.store.ResultStore` (concurrent-writer
-#: safe so distributed file-queue workers can populate it too).
-_SweepCache = ResultStore
 
 
 def default_cache_dir() -> Path:
@@ -183,29 +171,6 @@ def sim_jobs(default: int = 1) -> int:
     return value
 
 
-def sim_batch_size(default: int = 1) -> int:
-    """Simulation points batched per job (``REPRO_SIM_BATCH``).
-
-    A batch of B same-shape grid points is advanced by one
-    :class:`~repro.simulator.batch.BatchedSoAEngine` instead of B
-    sequential runs — bit-identical results, one kernel call per tick.
-    ``1`` (the default) keeps plain per-point execution.  Raises a
-    :class:`ValueError` naming the variable on bad input.
-    """
-    raw = os.environ.get("REPRO_SIM_BATCH", "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SIM_BATCH must be an integer batch size, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"REPRO_SIM_BATCH must be >= 1, got {value}")
-    return value
-
-
 def point_seed(base_seed: int, panel: str, index: int) -> int:
     """Deterministic RNG seed for grid point ``index`` of ``panel``.
 
@@ -241,7 +206,7 @@ class PanelResult:
 
 
 def _simulate_point(cfg: SimulationConfig, attempt: int = 0) -> SweepPoint:
-    """Process-pool worker: one simulation run -> one sweep point.
+    """The campaign's work unit: one simulation run -> one sweep point.
 
     ``attempt`` feeds the deterministic fault-injection harness only
     (crash/hang draws are keyed on the point seed *and* the attempt, so
@@ -254,30 +219,6 @@ def _simulate_point(cfg: SimulationConfig, attempt: int = 0) -> SweepPoint:
     return SweepPoint(rate=cfg.rate, latency=latency, saturated=res.saturated)
 
 
-def _simulate_chunk(
-    cfgs: Sequence[SimulationConfig], attempt: int = 0
-) -> List[SweepPoint]:
-    """Process-pool worker: one *batched* job -> several sweep points.
-
-    The chunk's same-shape configurations advance together on one
-    :class:`~repro.simulator.batch.BatchedSoAEngine`
-    (:func:`repro.simulator.sim.run_batch`); every point is
-    bit-identical to :func:`_simulate_point` on the same config, so
-    batched and per-point campaigns share one cache.  Fault injection
-    is keyed on the first config's seed — a chunk retries as a unit.
-    """
-    faults.on_point_attempt(cfgs[0].seed, attempt)
-    points = []
-    for res in run_batch(cfgs):
-        latency = math.inf if res.saturated else res.mean_latency
-        points.append(
-            SweepPoint(
-                rate=res.rate, latency=latency, saturated=res.saturated
-            )
-        )
-    return points
-
-
 #: Campaign-internal point key: ``(panel name, grid index)``.
 _PointKey = Tuple[str, int]
 
@@ -288,18 +229,13 @@ class SweepEngine:
     Parameters
     ----------
     jobs:
-        Simulation worker processes.  ``1`` (default) runs points
-        sequentially in-process with early stop at the first saturated
-        point; ``>1`` fans points (across all panels of a call) out to a
-        process pool and truncates each series at its first saturated
-        point, yielding bit-identical results to ``jobs=1``.
-    batch:
-        Simulation points per job (default: ``$REPRO_SIM_BATCH``, else
-        1).  With ``batch > 1`` each job advances a chunk of same-shape
-        grid points on one
-        :class:`~repro.simulator.batch.BatchedSoAEngine` — bit-identical
-        results at a fraction of the per-cycle Python overhead; chunks
-        retry (and fail) as a unit.
+        Simulation worker processes of the default ``local`` backend.
+        ``1`` (default) runs points one at a time in this process
+        (:class:`~repro.backends.InlineBackend`); ``>1`` runs the points
+        of every panel of a call on a pool of ``jobs`` processes
+        (:class:`~repro.backends.LocalPoolBackend`).  Each series is
+        truncated at its first saturated point, so results are
+        bit-identical for every ``jobs``.
     use_cache:
         Consult/populate the on-disk point cache (see module docstring).
     cache_dir:
@@ -316,10 +252,11 @@ class SweepEngine:
         budget becomes a :class:`~repro.resilience.PointFailure` record
         on ``SweepResult.failures``.
     point_timeout:
-        Wall-clock seconds per point attempt (``jobs > 1`` only; the
-        sequential path cannot interrupt itself).  A timed-out worker is
+        Wall-clock seconds per point attempt.  A timed-out worker is
         presumed hung, terminated, and its point retried on a rebuilt
-        pool.  ``None`` (default) disables the deadline.
+        pool.  Only the local pool (``jobs > 1``) can enforce it, so any
+        other backend raises :class:`ValueError`.  ``None`` (default)
+        disables the deadline.
     backoff_base:
         Base of the capped exponential retry backoff (seconds).
     jitter:
@@ -331,14 +268,12 @@ class SweepEngine:
         checkpointed points from the campaign journal instead of
         recomputing them.
     backend:
-        Execution substrate for parallel campaigns: ``None`` (consult
+        Execution substrate of the campaigns: ``None`` (consult
         ``$REPRO_BACKEND``, default local), a selector string
         (``"local"``, ``"file:<campaign-dir>"``) or a
-        :class:`~repro.backends.SweepBackend` instance.  The default
-        local backend is byte-for-byte the pre-backend engine; a
-        distributed backend always takes the campaign path (its
-        parallelism is however many workers join), and the shared
-        result store is advertised to its workers.
+        :class:`~repro.backends.SweepBackend` instance.  A distributed
+        backend's parallelism is however many workers join, and the
+        shared result store is advertised to its workers.
 
     ``stats`` accumulates :class:`~repro.resilience.ExecutorStats`
     (retries, timeouts, pool rebuilds, terminal failures) across this
@@ -357,7 +292,6 @@ class SweepEngine:
         self,
         jobs: int = 1,
         *,
-        batch: Optional[int] = None,
         use_cache: bool = True,
         cache_dir: "Path | str | None" = None,
         warm_start: bool = True,
@@ -371,9 +305,6 @@ class SweepEngine:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
-        self.batch = sim_batch_size() if batch is None else int(batch)
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
         self.warm_start = bool(warm_start)
         self.policy = RetryPolicy(
             max_retries=max_retries,
@@ -384,10 +315,18 @@ class SweepEngine:
         self.resume = bool(resume)
         self.stats = ExecutorStats()
         self.backend = resolve_backend(backend, jobs=self.jobs)
+        if point_timeout is not None and not isinstance(
+            self.backend, LocalPoolBackend
+        ):
+            raise ValueError(
+                f"point_timeout={point_timeout:g} can only be enforced on "
+                f"the local process pool (jobs > 1); got jobs={self.jobs} "
+                f"on the {self.backend.name!r} backend"
+            )
         self.cache_root = (
             Path(cache_dir) if cache_dir is not None else default_cache_dir()
         )
-        self.cache = _SweepCache(self.cache_root) if use_cache else None
+        self.cache = ResultStore(self.cache_root) if use_cache else None
         if self.cache is not None:
             self.cache.clean_stale_tmp()
 
@@ -600,193 +539,21 @@ class SweepEngine:
         )
         return journal, done
 
-    # -- point execution -----------------------------------------------
-    def _attempt_point_sequential(
+    # -- the campaign --------------------------------------------------
+    def _campaign(
         self,
-        panel: str,
-        index: int,
-        cfg: SimulationConfig,
+        specs: Sequence[PanelSpec],
+        cfgs_by: Dict[str, List[SimulationConfig]],
+        done: Dict[_PointKey, SweepPoint],
         journal: Optional[CheckpointJournal],
-    ) -> Tuple[Optional[SweepPoint], Optional[PointFailure]]:
-        """One point, in-process, with cache, retries and journaling."""
-        if self.cache is not None:
-            hit = self.cache.get(cfg)
-            if hit is not None:
-                self._journal_done(
-                    journal, panel, index, cfg, hit, attempts=0, source="cache"
-                )
-                return hit, None
-        for attempt in range(self.policy.max_retries + 1):
-            try:
-                point = _simulate_point(cfg, attempt)
-            except Exception as exc:
-                if attempt < self.policy.max_retries:
-                    self.stats.retries += 1
-                    self._journal_retry(journal, panel, index, "exception", attempt)
-                    time.sleep(self.policy.backoff(attempt))
-                    continue
-                failure = PointFailure(
-                    panel=panel,
-                    index=index,
-                    rate=cfg.rate,
-                    kind="exception",
-                    attempts=attempt + 1,
-                    message=f"{type(exc).__name__}: {exc}",
-                )
-                self.stats.failures += 1
-                self._journal_failed(journal, failure, cfg)
-                return None, failure
-            if self.cache is not None:
-                self.cache.put(cfg, point)
-            self._journal_done(
-                journal, panel, index, cfg, point, attempts=attempt + 1
-            )
-            return point, None
-        raise AssertionError("unreachable")
+    ) -> Tuple[Dict[_PointKey, SweepPoint], Dict[_PointKey, PointFailure]]:
+        """Run every needed point of every panel on the backend.
 
-    def _attempt_chunk_sequential(
-        self,
-        panel: str,
-        chunk: List[Tuple[int, SimulationConfig]],
-        journal: Optional[CheckpointJournal],
-    ) -> Tuple[
-        Optional[List[SweepPoint]], Optional[Dict[int, PointFailure]]
-    ]:
-        """One batched job, in-process, with retries and journaling.
-
-        The chunk succeeds or fails as a unit: on terminal failure every
-        member point gets its own :class:`PointFailure` record.
+        Restored and cached points are taken first, in grid order, up to
+        each panel's first saturated one; the rest become one-point
+        tasks.  A completed saturated point drops the panel's queued
+        points past it — the series is truncated there anyway.
         """
-        cfgs = [cfg for _, cfg in chunk]
-        for attempt in range(self.policy.max_retries + 1):
-            try:
-                pts = _simulate_chunk(cfgs, attempt)
-            except Exception as exc:
-                if attempt < self.policy.max_retries:
-                    self.stats.retries += 1
-                    self._journal_retry(
-                        journal, panel, chunk[0][0], "exception", attempt
-                    )
-                    time.sleep(self.policy.backoff(attempt))
-                    continue
-                failures: Dict[int, PointFailure] = {}
-                for i, cfg in chunk:
-                    failure = PointFailure(
-                        panel=panel,
-                        index=i,
-                        rate=cfg.rate,
-                        kind="exception",
-                        attempts=attempt + 1,
-                        message=f"{type(exc).__name__}: {exc}",
-                    )
-                    self.stats.failures += 1
-                    self._journal_failed(journal, failure, cfg)
-                    failures[i] = failure
-                return None, failures
-            for (i, cfg), point in zip(chunk, pts):
-                if self.cache is not None:
-                    self.cache.put(cfg, point)
-                self._journal_done(
-                    journal, panel, i, cfg, point, attempts=attempt + 1
-                )
-            return pts, None
-        raise AssertionError("unreachable")
-
-    def _campaign_sequential(
-        self,
-        specs: Sequence[PanelSpec],
-        cfgs_by: Dict[str, List[SimulationConfig]],
-        done: Dict[_PointKey, SweepPoint],
-        journal: Optional[CheckpointJournal],
-    ) -> Tuple[Dict[_PointKey, SweepPoint], Dict[_PointKey, PointFailure]]:
-        """The ``jobs=1`` degenerate case: in order, stop at saturation."""
-        if self.batch > 1:
-            return self._campaign_sequential_batched(
-                specs, cfgs_by, done, journal
-            )
-        points: Dict[_PointKey, SweepPoint] = {}
-        failures: Dict[_PointKey, PointFailure] = {}
-        for spec in specs:
-            for i, cfg in enumerate(cfgs_by[spec.name]):
-                key = (spec.name, i)
-                if key in done:
-                    points[key] = done[key]
-                else:
-                    point, failure = self._attempt_point_sequential(
-                        spec.name, i, cfg, journal
-                    )
-                    if failure is not None:
-                        failures[key] = failure
-                        continue
-                    points[key] = point
-                if points[key].saturated:
-                    break
-        return points, failures
-
-    def _campaign_sequential_batched(
-        self,
-        specs: Sequence[PanelSpec],
-        cfgs_by: Dict[str, List[SimulationConfig]],
-        done: Dict[_PointKey, SweepPoint],
-        journal: Optional[CheckpointJournal],
-    ) -> Tuple[Dict[_PointKey, SweepPoint], Dict[_PointKey, PointFailure]]:
-        """``jobs=1`` with ``batch>1``: chunks of points per batched job.
-
-        Semantics match the per-point path — each panel still truncates
-        at its first saturated point (reassembly drops anything later),
-        a chunk may merely compute a few points past it before the next
-        saturation check.  Restored/cached points are never re-run.
-        """
-        points: Dict[_PointKey, SweepPoint] = {}
-        failures: Dict[_PointKey, PointFailure] = {}
-        for spec in specs:
-            cfgs = cfgs_by[spec.name]
-            i = 0
-            stop = False
-            while i < len(cfgs) and not stop:
-                chunk: List[Tuple[int, SimulationConfig]] = []
-                while i < len(cfgs) and len(chunk) < self.batch:
-                    key = (spec.name, i)
-                    cfg = cfgs[i]
-                    i += 1
-                    hit = done.get(key)
-                    if hit is None and self.cache is not None:
-                        hit = self.cache.get(cfg)
-                        if hit is not None:
-                            self._journal_done(
-                                journal, spec.name, key[1], cfg, hit,
-                                attempts=0, source="cache",
-                            )
-                    if hit is not None:
-                        points[key] = hit
-                        if hit.saturated:
-                            stop = True
-                            break
-                        continue
-                    chunk.append((key[1], cfg))
-                if not chunk:
-                    continue
-                pts, chunk_failures = self._attempt_chunk_sequential(
-                    spec.name, chunk, journal
-                )
-                if chunk_failures is not None:
-                    for j, failure in chunk_failures.items():
-                        failures[(spec.name, j)] = failure
-                    continue
-                for (j, _), point in zip(chunk, pts):
-                    points[(spec.name, j)] = point
-                    if point.saturated:
-                        stop = True
-        return points, failures
-
-    def _campaign_parallel(
-        self,
-        specs: Sequence[PanelSpec],
-        cfgs_by: Dict[str, List[SimulationConfig]],
-        done: Dict[_PointKey, SweepPoint],
-        journal: Optional[CheckpointJournal],
-    ) -> Tuple[Dict[_PointKey, SweepPoint], Dict[_PointKey, PointFailure]]:
-        """Fan every needed point of every panel onto one resilient pool."""
         points: Dict[_PointKey, SweepPoint] = {}
         known_sat: Dict[str, int] = {}
 
@@ -797,37 +564,26 @@ class SweepEngine:
                 if panel not in known_sat or i < known_sat[panel]:
                     known_sat[panel] = i
 
-        for spec in specs:
-            for i, cfg in enumerate(cfgs_by[spec.name]):
-                key = (spec.name, i)
-                if key in done:
-                    note(key, done[key])
-                    continue
-                if self.cache is not None:
-                    hit = self.cache.get(cfg)
-                    if hit is not None:
-                        self._journal_done(
-                            journal, spec.name, i, cfg, hit,
-                            attempts=0, source="cache",
-                        )
-                        note(key, hit)
-
         tasks: Dict[_PointKey, tuple] = {}
         for spec in specs:
             for i, cfg in enumerate(cfgs_by[spec.name]):
                 key = (spec.name, i)
-                if key in points:
+                point = done.get(key)
+                if point is None and self.cache is not None:
+                    point = self.cache.get(cfg)
+                    if point is not None:
+                        self._journal_done(
+                            journal, spec.name, i, cfg, point,
+                            attempts=0, source="cache",
+                        )
+                if point is None:
+                    tasks[key] = (cfg,)
                     continue
-                sat = known_sat.get(spec.name)
-                if sat is not None and i > sat:
-                    continue  # beyond a known saturated rate — never needed
-                tasks[key] = (cfg,)
+                note(key, point)
+                if point.saturated:
+                    break  # past a known saturated rate — never needed
         if not tasks:
             return points, {}
-        if self.batch > 1:
-            return self._run_parallel_batched(
-                cfgs_by, tasks, points, known_sat, note, journal
-            )
 
         def on_result(key: _PointKey, point: SweepPoint, attempts: int):
             panel, i = key
@@ -876,92 +632,6 @@ class SweepEngine:
             self._journal_failed(journal, failure, cfg)
         return points, failures
 
-    def _run_parallel_batched(
-        self,
-        cfgs_by: Dict[str, List[SimulationConfig]],
-        tasks: Dict[_PointKey, tuple],
-        points: Dict[_PointKey, SweepPoint],
-        known_sat: Dict[str, int],
-        note,
-        journal: Optional[CheckpointJournal],
-    ) -> Tuple[Dict[_PointKey, SweepPoint], Dict[_PointKey, PointFailure]]:
-        """Fan *chunks* of points onto the pool (``batch > 1``).
-
-        Pending points of each panel are grouped, in grid order, into
-        chunks of up to ``self.batch`` same-shape configurations; every
-        chunk is one pool task running :func:`_simulate_chunk`, keyed
-        (and journaled) by its first member.  A chunk retries or fails
-        as a unit, and chunks whose members all lie beyond a panel's
-        first saturated point are cancelled like individual points are.
-        """
-        chunk_members: Dict[_PointKey, List[_PointKey]] = {}
-        chunk_tasks: Dict[_PointKey, tuple] = {}
-        for panel in cfgs_by:
-            pending = [k for k in tasks if k[0] == panel]
-            pending.sort(key=lambda k: k[1])
-            for j in range(0, len(pending), self.batch):
-                members = pending[j : j + self.batch]
-                ckey = members[0]
-                chunk_members[ckey] = members
-                chunk_tasks[ckey] = (
-                    [cfgs_by[panel][k[1]] for k in members],
-                )
-        if not chunk_tasks:
-            return points, {}
-
-        def on_result(
-            ckey: _PointKey, pts: List[SweepPoint], attempts: int
-        ):
-            panel = ckey[0]
-            before = known_sat.get(panel)
-            for key, point in zip(chunk_members[ckey], pts):
-                cfg = cfgs_by[panel][key[1]]
-                if self.cache is not None:
-                    self.cache.put(cfg, point)
-                self._journal_done(
-                    journal, panel, key[1], cfg, point, attempts=attempts
-                )
-                note(key, point)
-            after = known_sat.get(panel)
-            if after is not None and after != before:
-                return [
-                    other
-                    for other, members in chunk_members.items()
-                    if other != ckey
-                    and other[0] == panel
-                    and all(m[1] > after for m in members)
-                ]
-            return None
-
-        def on_retry(ckey: _PointKey, kind: str, attempt: int) -> None:
-            self._journal_retry(journal, ckey[0], ckey[1], kind, attempt)
-
-        _, task_failures = self.backend.run(
-            _simulate_chunk,
-            chunk_tasks,
-            policy=self.policy,
-            stats=self.stats,
-            on_result=on_result,
-            on_retry=on_retry,
-            store=self.cache,
-        )
-        failures: Dict[_PointKey, PointFailure] = {}
-        for ckey, tf in task_failures.items():
-            panel = ckey[0]
-            for key in chunk_members[ckey]:
-                cfg = cfgs_by[panel][key[1]]
-                failure = PointFailure(
-                    panel=panel,
-                    index=key[1],
-                    rate=cfg.rate,
-                    kind=tf.kind,
-                    attempts=tf.attempts,
-                    message=tf.message,
-                )
-                failures[key] = failure
-                self._journal_failed(journal, failure, cfg)
-        return points, failures
-
     def _simulate_panels(
         self,
         specs: Sequence[PanelSpec],
@@ -984,24 +654,15 @@ class SweepEngine:
         if use_journal:
             journal, done = self._open_journal(specs, cfgs_by, seed, resume)
         try:
-            # Distributed backends always take the campaign path: their
-            # parallelism is however many workers join, not self.jobs.
-            if self.jobs == 1 and self.backend.name == "local":
-                points, failures = self._campaign_sequential(
-                    specs, cfgs_by, done, journal
-                )
-            else:
-                points, failures = self._campaign_parallel(
-                    specs, cfgs_by, done, journal
-                )
+            points, failures = self._campaign(specs, cfgs_by, done, journal)
         finally:
             if journal is not None:
                 journal.close()
 
-        # Reassemble each panel in grid order with the sequential
-        # semantics: failures before the stop are recorded, the series
-        # truncates at its first saturated point, anything later is
-        # dropped — so jobs=1 and jobs=N agree bit for bit.
+        # Reassemble each panel in grid order: failures before the stop
+        # are recorded, the series truncates at its first saturated
+        # point, anything later is dropped — so every backend agrees bit
+        # for bit.
         results: Dict[str, SweepResult] = {}
         for spec in specs:
             sweep = SweepResult(label=f"sim:{spec.name}")
@@ -1012,7 +673,7 @@ class SweepEngine:
                     continue
                 point = points.get(key)
                 if point is None:
-                    break  # past the stop (sequential) or cancelled (pool)
+                    break  # dropped: past the first saturated point
                 sweep.points.append(point)
                 if point.saturated:
                     break

@@ -98,18 +98,21 @@ class TestPanelCommands:
     def test_panel_sweep_flags_parsed(self):
         args = build_parser().parse_args(
             ["panel", "fig1_h40", "--simulate", "--jobs", "4", "--no-cache",
-             "--seed", "9", "--batch", "8"]
+             "--seed", "9"]
         )
         assert args.jobs == 4 and args.no_cache and args.seed == 9
-        assert args.batch == 8
 
-    def test_panel_batch_defaults_to_env(self):
-        args = build_parser().parse_args(["panel", "fig1_h40"])
-        assert args.batch is None  # engine falls back to $REPRO_SIM_BATCH
-
-    def test_panel_batch_rejects_zero(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["panel", "fig1_h40", "--batch", "0"])
+    @pytest.mark.parametrize("command", [["panel", "fig1_h40"], ["figure", "1"]])
+    def test_point_timeout_in_process_exits_2(self, command, capsys):
+        # The in-process backend cannot interrupt a point: the deadline
+        # is refused up front instead of being silently ignored.
+        argv = command + ["--simulate", "--jobs", "1", "--no-cache",
+                          "--point-timeout", "5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "point_timeout" in captured.err and "jobs=1" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_panel_jobs_model_only(self, capsys):
         # --jobs with a model-only run exercises the engine path without

@@ -19,7 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.backends import FileQueueBackend, LocalPoolBackend, resolve_backend
+from repro.backends import (
+    FileQueueBackend,
+    InlineBackend,
+    LocalPoolBackend,
+    resolve_backend,
+)
 from repro.backends import filequeue as fq
 from repro.backends.worker import FileQueueWorker
 from repro.experiments.sweep import SweepEngine, _simulate_point, point_seed
@@ -58,9 +63,8 @@ def publish_unit(root, uid, cfg, attempt=0):
         {
             "protocol": fq.PROTOCOL_VERSION,
             "unit": uid,
-            "mode": "point",
             "attempt": attempt,
-            "configs": [asdict(cfg)],
+            "config": asdict(cfg),
         },
     )
 
@@ -301,7 +305,7 @@ class TestCoordinator:
             while slow_qf is None and time.time() < deadline:
                 for qf in fq.queue_dir(tmp_path).glob("*.json"):
                     body = fq.read_json(qf)
-                    if body and body["configs"][0]["rate"] == cfg_slow.rate:
+                    if body and body["config"]["rate"] == cfg_slow.rate:
                         slow_qf = qf
                 time.sleep(0.02)
             assert slow_qf is not None
@@ -335,13 +339,11 @@ class TestCoordinator:
                     "attempt": 0,
                     "worker": "straggler",
                     "status": "ok",
-                    "points": [
-                        {
-                            "rate": point.rate,
-                            "latency": point.latency,
-                            "saturated": point.saturated,
-                        }
-                    ],
+                    "point": {
+                        "rate": point.rate,
+                        "latency": point.latency,
+                        "saturated": point.saturated,
+                    },
                 },
             )
             fq.release_lease(lease, "straggler")
@@ -434,6 +436,9 @@ class TestEngineIntegration:
         engine = SweepEngine(jobs=3)
         assert isinstance(engine.backend, LocalPoolBackend)
         assert engine.backend.jobs == 3
+        assert engine.backend.name == "local"
+        engine = SweepEngine(jobs=1)
+        assert isinstance(engine.backend, InlineBackend)
         assert engine.backend.name == "local"
 
     def test_backend_env_var(self, monkeypatch, tmp_path):

@@ -12,6 +12,10 @@ The executor guarantees under test:
   instead of propagating;
 * ``on_result`` fires per completion and can drop queued tasks.
 
+The backend-agnostic cases (success, retry, terminal failure, drops,
+shared stats) also run on the in-process ``InlineBackend``, through the
+same ``SweepBackend.run`` contract.
+
 The journal guarantees: per-line durability, truncated trailing lines
 skipped on load, header recovery.
 """
@@ -22,6 +26,7 @@ import time
 
 import pytest
 
+from repro.backends import InlineBackend, LocalPoolBackend
 from repro.resilience import (
     CheckpointJournal,
     ExecutorStats,
@@ -111,34 +116,51 @@ class TestRetryPolicy:
             RetryPolicy(**kwargs)
 
 
-class TestResilientExecutor:
+class BackendContract:
+    """Cases every sweep backend passes, called through ``backend.run``.
+
+    A subclass names the backend under test with ``make_backend(jobs)``.
+    """
+
+    @staticmethod
+    def make_backend(jobs):
+        raise NotImplementedError
+
     def test_all_success(self):
-        ex = ResilientExecutor(2, RetryPolicy(**FAST))
-        results, failures = ex.run(_ok, {i: (i,) for i in range(5)})
+        stats = ExecutorStats()
+        results, failures = self.make_backend(2).run(
+            _ok, {i: (i,) for i in range(5)},
+            policy=RetryPolicy(**FAST), stats=stats,
+        )
         assert failures == {}
         assert results == {i: (i, 0) for i in range(5)}
-        assert ex.stats.completed == 5
-        assert ex.stats.submitted == 5
-        assert not ex.stats.eventful
+        assert stats.completed == 5
+        assert stats.submitted == 5
+        assert not stats.eventful
 
     def test_transient_exception_retried(self):
-        ex = ResilientExecutor(2, RetryPolicy(max_retries=2, **FAST))
+        stats = ExecutorStats()
         retried = []
-        results, failures = ex.run(
+        results, failures = self.make_backend(2).run(
             _fail_then_ok,
             {i: (i,) for i in range(3)},
+            policy=RetryPolicy(max_retries=2, **FAST),
+            stats=stats,
             on_retry=lambda key, kind, attempt: retried.append(
                 (key, kind, attempt)
             ),
         )
         assert failures == {}
         assert results == {i: i * 10 for i in range(3)}
-        assert ex.stats.retries == 3
+        assert stats.retries == 3
         assert sorted(retried) == [(i, "exception", 0) for i in range(3)]
 
     def test_terminal_exception_becomes_failure_record(self):
-        ex = ResilientExecutor(1, RetryPolicy(max_retries=1, **FAST))
-        results, failures = ex.run(_always_fail, {0: (0,), 1: (1,)})
+        stats = ExecutorStats()
+        results, failures = self.make_backend(1).run(
+            _always_fail, {0: (0,), 1: (1,)},
+            policy=RetryPolicy(max_retries=1, **FAST), stats=stats,
+        )
         assert results == {}
         assert set(failures) == {0, 1}
         for key, failure in failures.items():
@@ -146,7 +168,51 @@ class TestResilientExecutor:
             assert failure.kind == "exception"
             assert failure.attempts == 2  # first try + one retry
             assert "permanent failure" in failure.message
-        assert ex.stats.failures == 2
+        assert stats.failures == 2
+
+    def test_on_result_streams_and_drops(self):
+        # jobs=1 runs tasks in order; completing task 0 drops 2..4.
+        seen = []
+
+        def on_result(key, value, attempts):
+            seen.append((key, value, attempts))
+            if key == 0:
+                return [2, 3, 4]
+            return None
+
+        results, failures = self.make_backend(1).run(
+            _ok, {i: (i,) for i in range(5)},
+            policy=RetryPolicy(**FAST), stats=ExecutorStats(),
+            on_result=on_result,
+        )
+        assert failures == {}
+        assert set(results) == {0, 1}
+        assert [s[0] for s in seen] == [0, 1]
+        assert all(attempts == 1 for _, _, attempts in seen)
+
+    def test_shared_stats_accumulate(self):
+        stats = ExecutorStats()
+        for key in (0, 1):
+            self.make_backend(1).run(
+                _ok, {key: (key,)}, policy=RetryPolicy(**FAST), stats=stats
+            )
+        assert stats.completed == 2
+        assert stats.as_dict()["completed"] == 2
+
+
+class TestInlineBackend(BackendContract):
+    @staticmethod
+    def make_backend(jobs):
+        return InlineBackend()
+
+
+class TestResilientExecutor(BackendContract):
+    """The contract on the local pool, plus the pool-only crash, hang
+    and timeout cases."""
+
+    @staticmethod
+    def make_backend(jobs):
+        return LocalPoolBackend(jobs=jobs)
 
     def test_worker_crash_rebuilds_pool_and_retries(self):
         ex = ResilientExecutor(1, RetryPolicy(max_retries=3, **FAST))
@@ -184,36 +250,6 @@ class TestResilientExecutor:
         assert results == {}
         assert failures[0].kind == "timeout"
         assert failures[0].attempts == 1
-
-    def test_on_result_streams_and_drops(self):
-        # jobs=1 runs tasks in order; completing task 0 drops 2..4.
-        ex = ResilientExecutor(1, RetryPolicy(**FAST))
-        seen = []
-
-        def on_result(key, value, attempts):
-            seen.append((key, value, attempts))
-            if key == 0:
-                return [2, 3, 4]
-            return None
-
-        results, failures = ex.run(
-            _ok, {i: (i,) for i in range(5)}, on_result=on_result
-        )
-        assert failures == {}
-        assert set(results) == {0, 1}
-        assert [s[0] for s in seen] == [0, 1]
-        assert all(attempts == 1 for _, _, attempts in seen)
-
-    def test_shared_stats_accumulate(self):
-        stats = ExecutorStats()
-        ResilientExecutor(1, RetryPolicy(**FAST), stats=stats).run(
-            _ok, {0: (0,)}
-        )
-        ResilientExecutor(1, RetryPolicy(**FAST), stats=stats).run(
-            _ok, {1: (1,)}
-        )
-        assert stats.completed == 2
-        assert stats.as_dict()["completed"] == 2
 
     def test_jobs_validated(self):
         with pytest.raises(ValueError, match="jobs"):

@@ -2,8 +2,8 @@
 
 The load-bearing guarantees:
 
-* ``jobs > 1`` produces **bit-identical** results to the sequential
-  ``jobs = 1`` path, including the stop-at-first-saturation truncation;
+* ``jobs > 1`` produces **bit-identical** results to the in-process
+  ``jobs = 1`` run, including the stop-at-first-saturation truncation;
 * per-point seeds are deterministic (process- and run-independent);
 * the on-disk cache returns exactly what was computed and is bypassed
   cleanly with ``use_cache=False``;
@@ -26,6 +26,7 @@ import repro.experiments.sweep as sweep_mod
 from repro.core.model import HotSpotLatencyModel
 from repro.core.uniform import UniformLatencyModel
 from repro.experiments import PanelSpec, SweepEngine, get_panel, point_seed
+from repro.store import payload_checksum
 
 
 def tiny_panel(name="tiny", rates=(0.002, 0.01, 0.12, 0.18)):
@@ -56,15 +57,28 @@ class TestDeterminism:
         assert seq.model == par.model
         assert seq.simulation == par.simulation  # bit-identical points
 
-    def test_stops_at_first_saturation(self):
+    def test_stops_at_first_saturation(self, monkeypatch):
         spec = tiny_panel()
-        result = SweepEngine(jobs=4, use_cache=False).run_panel(
-            spec, seed=7, measure_cycles=3_000, warmup_cycles=500
-        )
-        sim = result.simulation
-        assert sim.points[-1].saturated
-        assert len(sim.points) < len(spec.rates)
-        assert all(not p.saturated for p in sim.points[:-1])
+        simulated = []
+
+        class CountingSim(sweep_mod.Simulation):
+            def run(self):
+                simulated.append(self.config.rate)
+                return super().run()
+
+        monkeypatch.setattr(sweep_mod, "Simulation", CountingSim)
+        for jobs in (1, 4):
+            simulated.clear()
+            result = SweepEngine(jobs=jobs, use_cache=False).run_panel(
+                spec, seed=7, measure_cycles=3_000, warmup_cycles=500
+            )
+            sim = result.simulation
+            assert sim.points[-1].saturated
+            assert len(sim.points) < len(spec.rates)
+            assert all(not p.saturated for p in sim.points[:-1])
+            if jobs == 1:
+                # In-process, nothing past the first saturated point runs.
+                assert simulated == [p.rate for p in sim.points]
 
     def test_run_panels_matches_per_panel_runs(self):
         specs = [tiny_panel("tiny_a"), tiny_panel("tiny_b", rates=(0.004, 0.15))]
@@ -225,7 +239,7 @@ class TestCacheHardening:
         for f in entries:
             body = json.loads(f.read_text())
             body["payload"]["latency"] = "fast"
-            body["checksum"] = sweep_mod._payload_checksum(body["payload"])
+            body["checksum"] = payload_checksum(body["payload"])
             f.write_text(json.dumps(body))
         self._assert_recovered(tmp_path, spec, kwargs, first, "fields")
 
@@ -234,7 +248,7 @@ class TestCacheHardening:
         for f in entries:
             body = json.loads(f.read_text())
             body["payload"]["latency"] = True
-            body["checksum"] = sweep_mod._payload_checksum(body["payload"])
+            body["checksum"] = payload_checksum(body["payload"])
             f.write_text(json.dumps(body))
         self._assert_recovered(tmp_path, spec, kwargs, first, "fields")
 
@@ -449,9 +463,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="jobs"):
             SweepEngine(jobs=0)
 
-    def test_batch_must_be_positive(self):
-        with pytest.raises(ValueError, match="batch"):
-            SweepEngine(batch=0)
+    def test_point_timeout_rejected_in_process(self):
+        # One point at a time in this process cannot be interrupted, so
+        # a deadline there would be silently ignored.
+        with pytest.raises(ValueError, match=r"point_timeout.*jobs=1"):
+            SweepEngine(jobs=1, point_timeout=5)
+
+    def test_point_timeout_rejected_on_file_backend(self, tmp_path):
+        with pytest.raises(ValueError, match=r"point_timeout.*jobs="):
+            SweepEngine(jobs=2, point_timeout=5, backend=f"file:{tmp_path}")
+
+    def test_point_timeout_accepted_on_pool(self):
+        engine = SweepEngine(jobs=2, point_timeout=5, use_cache=False)
+        assert engine.policy.point_timeout == 5
 
     def test_model_only_panel_has_no_simulation(self):
         result = SweepEngine(use_cache=False).run_panel(
@@ -459,59 +483,3 @@ class TestValidation:
         )
         assert result.simulation is None
         assert len(result.model.points) == 4
-
-
-class TestBatchedSweeps:
-    """``batch > 1`` chunks points onto the batched engine, results equal."""
-
-    KWARGS = dict(seed=7, measure_cycles=3_000, warmup_cycles=500)
-
-    def test_sequential_batched_bit_identical(self):
-        spec = tiny_panel()
-        ref = SweepEngine(jobs=1, use_cache=False).run_panel(spec, **self.KWARGS)
-        for batch in (2, 3, 8):
-            got = SweepEngine(jobs=1, batch=batch, use_cache=False).run_panel(
-                spec, **self.KWARGS
-            )
-            assert got.simulation == ref.simulation, f"batch={batch}"
-
-    def test_parallel_batched_bit_identical(self):
-        spec = tiny_panel()
-        ref = SweepEngine(jobs=1, use_cache=False).run_panel(spec, **self.KWARGS)
-        got = SweepEngine(jobs=2, batch=2, use_cache=False).run_panel(
-            spec, **self.KWARGS
-        )
-        assert got.simulation == ref.simulation
-
-    def test_batched_run_populates_cache(self, tmp_path, monkeypatch):
-        spec = tiny_panel()
-        engine = SweepEngine(jobs=1, batch=4, cache_dir=tmp_path)
-        first = engine.run_panel(spec, **self.KWARGS)
-
-        def boom(*a, **k):
-            raise AssertionError("should have been served from cache")
-
-        monkeypatch.setattr(sweep_mod, "run_batch", boom)
-        again = SweepEngine(jobs=1, batch=4, cache_dir=tmp_path).run_panel(
-            spec, **self.KWARGS
-        )
-        assert again.simulation == first.simulation
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BATCH", " 6 ")
-        assert SweepEngine().batch == 6
-        monkeypatch.delenv("REPRO_SIM_BATCH")
-        assert SweepEngine().batch == 1
-        assert SweepEngine(batch=3).batch == 3
-
-    def test_bad_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BATCH", "many")
-        with pytest.raises(ValueError, match="REPRO_SIM_BATCH"):
-            SweepEngine()
-        monkeypatch.setenv("REPRO_SIM_BATCH", "0")
-        with pytest.raises(ValueError, match="REPRO_SIM_BATCH"):
-            SweepEngine()
-
-    def test_explicit_batch_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BATCH", "8")
-        assert SweepEngine(batch=2).batch == 2
