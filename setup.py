@@ -1,10 +1,15 @@
-"""Setup shim for environments without PEP 517 build isolation.
+"""Setup script for the ``repro`` package, whose sources live in ``src/``.
 
-``pip install -e .`` needs the ``wheel`` package, which is not available
-in the offline evaluation environment; ``python setup.py develop`` (or a
-``.pth`` file pointing at ``src/``) achieves the same editable install.
-Metadata lives in pyproject.toml.
+``python setup.py develop`` installs it in editable mode; from the
+repository root, ``export PYTHONPATH=src`` runs it without installing.
 """
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    python_requires=">=3.11",
+)

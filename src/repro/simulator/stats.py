@@ -6,7 +6,9 @@ not change the collected statistics appreciably".  We implement the
 standard batch-means method: post-warmup completions are grouped into
 fixed-size batches, the batch averages are treated as (approximately)
 independent samples, and a Student-t confidence interval on their mean
-quantifies the remaining run-length error.
+quantifies the remaining run-length error.  The interval's Student-t
+quantile is computed here from the exact finite series for integer
+degrees of freedom, so the runtime needs no statistics library.
 """
 
 from __future__ import annotations
@@ -15,9 +17,51 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from scipy import stats as _scipy_stats
-
 __all__ = ["LatencyStats", "BatchMeans"]
+
+
+def _t_coverage(theta: float, df: int) -> float:
+    """``P(|T| < sqrt(df) * tan(theta))`` for Student-t ``T`` with integer
+    ``df`` degrees of freedom (Abramowitz & Stegun 26.7.3-4)."""
+    sin, cos = math.sin(theta), math.cos(theta)
+    cos2 = cos * cos
+    term = total = 1.0
+    if df % 2:
+        if df == 1:
+            return 2.0 * theta / math.pi
+        for j in range(1, (df - 1) // 2):
+            term *= cos2 * (2 * j) / (2 * j + 1)
+            total += term
+        return 2.0 / math.pi * (theta + sin * cos * total)
+    for j in range(1, df // 2):
+        term *= cos2 * (2 * j - 1) / (2 * j)
+        total += term
+    return sin * total
+
+
+def _t_quantile(level: float, df: int) -> float:
+    """Two-sided Student-t quantile: the ``t`` with ``P(|T| < t) = level``,
+    i.e. the ``0.5 + level / 2`` quantile of ``T`` with ``df`` degrees of
+    freedom.
+
+    Newton's method on ``theta = atan(t / sqrt(df))``: the coverage is
+    concave in ``theta`` with derivative ``c * cos(theta) ** (df - 1)``,
+    so iterates started at ``theta = 0`` rise monotonically to the root
+    and the first step that does not rise (beyond rounding) ends the
+    search.
+    """
+    c = 2.0 / math.sqrt(math.pi) * math.exp(
+        math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
+    )
+    theta = 0.0
+    for _ in range(100):
+        step = (level - _t_coverage(theta, df)) / (
+            c * math.cos(theta) ** (df - 1)
+        )
+        theta += step
+        if step <= 1e-15 * theta:
+            break
+    return math.sqrt(df) * math.tan(theta)
 
 
 class LatencyStats:
@@ -131,14 +175,16 @@ class BatchMeans:
 
     def confidence_interval(self, level: float = 0.95) -> Optional[float]:
         """Half-width of the Student-t CI on the mean, or ``None`` if
-        fewer than two complete batches exist."""
+        fewer than two complete batches exist.  ``level`` must lie in
+        (0, 1)."""
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"level must be in (0, 1), got {level}")
         n = len(self.batch_averages)
         if n < 2:
             return None
         m = self.mean()
         var = sum((b - m) ** 2 for b in self.batch_averages) / (n - 1)
-        t = float(_scipy_stats.t.ppf(0.5 + level / 2.0, df=n - 1))
-        return t * math.sqrt(var / n)
+        return _t_quantile(level, n - 1) * math.sqrt(var / n)
 
     def relative_half_width(self, level: float = 0.95) -> Optional[float]:
         ci = self.confidence_interval(level)

@@ -9,8 +9,6 @@ The paper studies unidirectional k-ary n-cubes (tori) with dimension-order
 * :mod:`~repro.topology.routing` — deterministic dimension-order route
   computation and the Dally–Seitz dateline virtual-channel classes that
   make wormhole routing deadlock-free on rings with wrap-around links.
-* :mod:`~repro.topology.graph` — conversion to :mod:`networkx` digraphs
-  plus structural metrics (diameter, average distance, bisection width).
 """
 
 from repro.topology.kary_ncube import Channel, KAryNCube, Node
@@ -19,12 +17,6 @@ from repro.topology.routing import (
     Route,
     RouteHop,
     dateline_vc_class,
-)
-from repro.topology.graph import (
-    average_distance,
-    bisection_channel_count,
-    diameter,
-    to_networkx,
 )
 
 __all__ = [
@@ -35,8 +27,4 @@ __all__ = [
     "Route",
     "RouteHop",
     "dateline_vc_class",
-    "average_distance",
-    "bisection_channel_count",
-    "diameter",
-    "to_networkx",
 ]

@@ -1,8 +1,16 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -231,3 +239,31 @@ class TestFailureExitCodes:
         monkeypatch.setattr(cli, "_sweep_engine", lambda args: _StubEngine([]))
         assert main(["panel", "fig1_h40"]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestImportHygiene:
+    def test_runtime_loads_no_scipy_or_networkx(self):
+        """numpy is the only third-party runtime dependency: a fresh
+        process that imports the CLI, simulates long enough for a
+        batch-means CI and evaluates the model loads neither scipy nor
+        networkx."""
+        code = textwrap.dedent("""
+            import sys
+
+            import repro.cli
+            from repro import HotSpotLatencyModel, Simulation, SimulationConfig
+
+            cfg = SimulationConfig(k=4, message_length=8, rate=5e-3,
+                                   hotspot_fraction=0.2, warmup_cycles=500,
+                                   measure_cycles=20000, seed=1)
+            assert Simulation(cfg).run().ci95 is not None
+            HotSpotLatencyModel(k=4, message_length=8,
+                                hotspot_fraction=0.2).evaluate(5e-3)
+            print(sorted(m for m in sys.modules
+                         if m.split(".")[0] in ("scipy", "networkx")))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

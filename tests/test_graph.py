@@ -1,57 +1,65 @@
-"""Unit tests for repro.topology.graph (networkx views and metrics)."""
+"""Shortest-path cross-checks of the k-ary n-cube closed forms.
+
+A breadth-first search over the channels of
+:class:`~repro.topology.KAryNCube` is the oracle for the diameter, mean
+message distance and bisection width the analytical model relies on.
+"""
+
+from collections import deque
 
 import pytest
 
 from repro.topology import KAryNCube
-from repro.topology.graph import (
-    average_distance,
-    bisection_channel_count,
-    diameter,
-    to_networkx,
-)
 
 
-class TestExport:
-    def test_node_and_edge_counts(self):
-        net = KAryNCube(k=4, n=2)
-        g = to_networkx(net)
-        assert g.number_of_nodes() == 16
-        assert g.number_of_edges() == 32
+def hop_distances(net):
+    """Shortest-path hop counts over all ordered pairs of distinct nodes."""
+    succ = {node: [] for node in net.nodes()}
+    for ch in net.channels():
+        succ[ch.src].append(net.channel_dst(ch))
+    distances = []
+    for src in succ:
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for v in succ[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        assert len(dist) == net.num_nodes  # strongly connected
+        distances.extend(d for d in dist.values() if d)
+    return distances
 
-    def test_edge_attributes(self):
-        net = KAryNCube(k=3, n=2)
-        g = to_networkx(net)
-        assert g[(2, 0)][(0, 0)]["dim"] == 0
-        assert g[(0, 2)][(0, 0)]["dim"] == 1
 
-    def test_graph_metadata(self):
-        g = to_networkx(KAryNCube(k=5, n=2))
-        assert g.graph["k"] == 5 and g.graph["n"] == 2
-
-    def test_bidirectional_edges(self):
-        net = KAryNCube(k=3, n=1, bidirectional=True)
-        g = to_networkx(net)
-        assert g.has_edge((0,), (1,)) and g.has_edge((1,), (0,))
+def bisection_crossings(net):
+    """Directed channels crossing the cut ``v_0 < k/2`` | ``v_0 >= k/2``."""
+    half = net.k // 2
+    return sum(
+        (ch.src[0] < half) != (net.channel_dst(ch)[0] < half)
+        for ch in net.channels()
+    )
 
 
 class TestMetrics:
     def test_diameter_matches_formula(self):
         for k, n in ((4, 2), (3, 3)):
             net = KAryNCube(k=k, n=n)
-            assert diameter(net) == net.diameter
+            assert max(hop_distances(net)) == net.diameter
 
     def test_diameter_bidirectional(self):
         net = KAryNCube(k=6, n=2, bidirectional=True)
-        assert diameter(net) == net.diameter == 6
+        assert max(hop_distances(net)) == net.diameter == 6
 
     def test_average_distance_close_to_formula(self):
         # Exact mean over ordered pairs = n*(k-1)/2 * N/(N-1): the
         # closed form n*(k-1)/2 averages displacement over all N
         # destinations including self.
         net = KAryNCube(k=4, n=2)
-        exact = average_distance(net)
+        distances = hop_distances(net)
         n_nodes = net.num_nodes
-        assert exact == pytest.approx(
+        assert len(distances) == n_nodes * (n_nodes - 1)
+        assert sum(distances) / len(distances) == pytest.approx(
             net.mean_message_hops * n_nodes / (n_nodes - 1)
         )
 
@@ -59,12 +67,8 @@ class TestMetrics:
         net = KAryNCube(k=4, n=2)
         # k rings of dimension 0, each crossing the cut twice (cut +
         # wrap-around), one direction only.
-        assert bisection_channel_count(net) == 2 * 4
+        assert bisection_crossings(net) == 2 * 4
 
     def test_bisection_count_bidirectional(self):
         net = KAryNCube(k=4, n=2, bidirectional=True)
-        assert bisection_channel_count(net) == 4 * 4
-
-    def test_bisection_requires_even_radix(self):
-        with pytest.raises(ValueError):
-            bisection_channel_count(KAryNCube(k=5, n=2))
+        assert bisection_crossings(net) == 4 * 4

@@ -1,11 +1,14 @@
 """Unit tests for repro.simulator.stats."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
 
-from repro.simulator.stats import BatchMeans, LatencyStats
+from repro.simulator.stats import BatchMeans, LatencyStats, _t_quantile
+
+LEVELS = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
 
 
 class TestLatencyStats:
@@ -101,3 +104,56 @@ class TestBatchMeans:
     def test_batch_size_validated(self):
         with pytest.raises(ValueError):
             BatchMeans(batch_size=0)
+
+    def test_ci_is_student_t_half_width(self):
+        # Batch means 1, 2, 3: sample variance 1, df 2.
+        bm = BatchMeans(batch_size=1)
+        for x in (1.0, 2.0, 3.0):
+            bm.record(x)
+        t = 0.95 * math.sqrt(2 / (1 - 0.95**2))
+        assert bm.confidence_interval(0.95) == pytest.approx(
+            t / math.sqrt(3), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_ci_level_outside_unit_interval_rejected(self, level):
+        bm = BatchMeans(batch_size=1)
+        for x in (1.0, 2.0, 3.0):
+            bm.record(x)
+        with pytest.raises(ValueError, match="level"):
+            bm.confidence_interval(level)
+
+
+class TestTQuantile:
+    """The two-sided Student-t quantile behind ``confidence_interval``."""
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_matches_scipy(self, level):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for df in [*range(1, 201), 500, 1000, 5000]:
+            want = float(scipy_stats.t.ppf(0.5 + level / 2, df))
+            got = _t_quantile(level, df)
+            assert abs(got - want) <= 1e-10 * want, (df, got, want)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_one_degree_of_freedom_is_cauchy(self, level):
+        assert _t_quantile(level, 1) == pytest.approx(
+            math.tan(math.pi * level / 2), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_two_degrees_of_freedom_closed_form(self, level):
+        assert _t_quantile(level, 2) == pytest.approx(
+            level * math.sqrt(2 / (1 - level**2)), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10])
+    def test_level_next_to_one_stays_positive(self, df):
+        # Rounding must not carry atan(t / sqrt(df)) past pi/2.
+        t = _t_quantile(math.nextafter(1.0, 0.0), df)
+        assert 0.0 < t < math.inf
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_large_df_approaches_normal(self, level):
+        z = statistics.NormalDist().inv_cdf(0.5 + level / 2)
+        assert abs(_t_quantile(level, 10_000) - z) <= 1e-3
