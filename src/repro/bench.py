@@ -43,10 +43,8 @@ __all__ = [
     "config_hash",
     "default_report_name",
     "git_rev",
-    "bench_sim_batch_configs",
     "measure_model",
     "measure_model_batch",
-    "measure_sim_batch",
     "measure_distributed_sweep",
     "measure_simulator",
     "measure_sweep",
@@ -211,83 +209,6 @@ def measure_model_batch(*, rounds: int = 3, kernel: str = "auto") -> Dict[str, o
     }
 
 
-def bench_sim_batch_configs(
-    quick: bool = False, batch: int = 8
-) -> List[SimulationConfig]:
-    """The standard batched-simulation benchmark: ``batch`` same-shape runs.
-
-    Long messages at light load on the paper's 16x16 torus — the
-    event-sparse regime batching targets, where the span kernel advances
-    many cycles per call.  The configs differ only in seed, like the
-    same sweep point re-run across a seed panel.
-    """
-    from dataclasses import replace
-
-    base = SimulationConfig(
-        k=16,
-        message_length=256,
-        rate=2e-5,
-        hotspot_fraction=0.2,
-        warmup_cycles=1_000,
-        measure_cycles=4_000 if quick else 20_000,
-        seed=100,
-    )
-    return [replace(base, seed=100 + i) for i in range(batch)]
-
-
-def measure_sim_batch(
-    *, rounds: int = 3, quick: bool = False, batch: int = 8
-) -> Dict[str, object]:
-    """Aggregate throughput of ``batch`` networks: sequential vs batched.
-
-    Times the same ``batch`` same-shape simulations twice per round —
-    one :class:`Simulation` after another, then one
-    :class:`~repro.simulator.BatchedSoAEngine` advancing every network
-    per kernel call — and reports best-of-``rounds`` seconds for each
-    side, the aggregate cycles/sec speedup, and whether the batched
-    results stayed bit-identical to the solo runs.
-    """
-    from repro.simulator.batch import BatchedSoAEngine
-    from repro.simulator.network import TorusWorkload
-    from repro.simulator.sim import _workload_result
-
-    cfgs = bench_sim_batch_configs(quick=quick, batch=batch)
-    # Warm the kernel cache so neither side pays the one-off compile.
-    Simulation(
-        bench_sim_config(quick=True)
-    ).run()
-    best_seq = float("inf")
-    best_batch = float("inf")
-    solo_results = batch_results = None
-    kernel = "python"
-    for _ in range(max(1, rounds)):
-        t0 = time.perf_counter()
-        solo_results = [Simulation(c).run() for c in cfgs]
-        best_seq = min(best_seq, time.perf_counter() - t0)
-        workloads = [TorusWorkload(c) for c in cfgs]
-        engine = BatchedSoAEngine(workloads)
-        t0 = time.perf_counter()
-        engine.run()
-        best_batch = min(best_batch, time.perf_counter() - t0)
-        batch_results = [_workload_result(w) for w in workloads]
-        kernel = engine.kernel_name
-    assert solo_results is not None and batch_results is not None
-    cycles = sum(r.cycles_run for r in solo_results)
-    return {
-        "batch": int(len(cfgs)),
-        "cycles_run": int(cycles),
-        "seconds_sequential": best_seq,
-        "seconds_batched": best_batch,
-        "cycles_per_sec_sequential": cycles / best_seq,
-        "cycles_per_sec_batched": cycles / best_batch,
-        "speedup": best_seq / best_batch,
-        "bit_identical": bool(
-            all(s == b for s, b in zip(solo_results, batch_results))
-        ),
-        "kernel": kernel,
-    }
-
-
 def measure_sweep(*, jobs: int = 2, backend: object = None) -> Dict[str, object]:
     """End-to-end throughput of a small parallel sweep campaign.
 
@@ -395,7 +316,6 @@ def build_report(
         "simulator": measure_simulator(cfg, rounds=rounds),
         "model": measure_model(rounds=rounds),
         "model_batch": measure_model_batch(rounds=rounds),
-        "sim_batch": measure_sim_batch(rounds=rounds, quick=quick),
         "resilience": measure_sweep(),
         # Worker subprocess startup dominates in the quick (CI smoke)
         # window, so the distributed section is full-report only.
@@ -496,26 +416,6 @@ def check_regression(
         failures.append(
             f"batched model throughput regressed >{max_slowdown:g}x: "
             f"{new_b:,.1f} points/s vs baseline {old_b:,.1f} points/s "
-            f"(baseline rev {baseline.get('git_rev', '?')})"
-        )
-    # Same treatment for the batched-simulator metric (pre-batch
-    # baselines lack the section): gate aggregate batched cycles/sec,
-    # and fail outright if batched results stopped matching solo runs.
-    sim_batch = report.get("sim_batch")
-    if isinstance(sim_batch, dict) and not sim_batch.get("bit_identical", True):
-        failures.append(
-            "batched simulation results are no longer bit-identical to "
-            "sequential runs"
-        )
-    try:
-        new_s = float(report["sim_batch"]["cycles_per_sec_batched"])  # type: ignore[index]
-        old_s = float(baseline["sim_batch"]["cycles_per_sec_batched"])  # type: ignore[index]
-    except (KeyError, TypeError, ValueError):
-        return failures
-    if new_s * max_slowdown < old_s:
-        failures.append(
-            f"batched simulator throughput regressed >{max_slowdown:g}x: "
-            f"{new_s:,.0f} cycles/s vs baseline {old_s:,.0f} cycles/s "
             f"(baseline rev {baseline.get('git_rev', '?')})"
         )
     return failures

@@ -438,15 +438,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"batched panel ({batch['points']} pts): "
         f"{batch['points_per_sec']:,.1f} points/s"
     )
-    sb = report.get("sim_batch")
-    if sb is not None:
-        print(
-            f"sim batch [{sb['kernel']}, B={sb['batch']}]: "
-            f"{sb['cycles_per_sec_batched']:,.0f} cycles/s batched vs "
-            f"{sb['cycles_per_sec_sequential']:,.0f} sequential "
-            f"({sb['speedup']:.2f}x, "
-            f"bit-identical={'yes' if sb['bit_identical'] else 'NO'})"
-        )
     res = report.get("resilience")
     if res is not None:
         print(

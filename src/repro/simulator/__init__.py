@@ -25,22 +25,26 @@ class 1 when it crosses a ring's wrap-around channel
 Public front-end: :class:`~repro.simulator.sim.Simulation` with
 :class:`~repro.simulator.config.SimulationConfig`.
 
-Two interchangeable cycle engines exist (``config.engine`` /
-``$REPRO_ENGINE``): the structure-of-arrays engine
-(:class:`~repro.simulator.soa.SoACycleEngine`, the fast default) and
-the reference engine (:class:`~repro.simulator.engine.CycleEngine`,
-the correctness oracle); their outputs are bit-identical.  Same-shape
-configuration sets can additionally be advanced together —
-:func:`~repro.simulator.sim.run_batch` /
-:class:`~repro.simulator.batch.BatchedSoAEngine` sweep B stacked
-networks per kernel call, each row bit-identical to its solo run.
+Three engines produce bit-identical simulations; which one runs is
+decided per run by :class:`~repro.simulator.network.TorusWorkload`:
+
+* :class:`~repro.simulator.span.SpanEngine` — deterministic routing
+  whenever the C kernel compiles: one C call runs a whole span of
+  cycles between arrivals (admission, FCFS VC allocation, link
+  arbitration, header/tail events, delivery);
+* :class:`~repro.simulator.soa.SoACycleEngine` — the per-cycle
+  structure-of-arrays engine, for adaptive routing and for hosts without
+  a C compiler (or ``REPRO_SOA_KERNEL=numpy``);
+* :class:`~repro.simulator.engine.CycleEngine` — the object-per-message
+  reference engine the equivalence tests compare against
+  (``config.engine="reference"`` / ``REPRO_ENGINE=reference``).
 """
 
-from repro.simulator.batch import BatchedSoAEngine, batch_shape_key
 from repro.simulator.config import SimulationConfig, resolve_engine_kind
 from repro.simulator.engine import CycleEngine
-from repro.simulator.sim import Simulation, SimulationResult, run_batch
+from repro.simulator.sim import Simulation, SimulationResult
 from repro.simulator.soa import SoACycleEngine
+from repro.simulator.span import SpanEngine
 from repro.simulator.stats import BatchMeans, LatencyStats
 
 __all__ = [
@@ -51,8 +55,6 @@ __all__ = [
     "LatencyStats",
     "CycleEngine",
     "SoACycleEngine",
-    "BatchedSoAEngine",
-    "batch_shape_key",
-    "run_batch",
+    "SpanEngine",
     "resolve_engine_kind",
 ]

@@ -441,9 +441,48 @@ class CycleEngine:
         self.counters.cycles_run += 1
         return len(moves)
 
+    def advance(
+        self,
+        stop: int,
+        backlog_limit: Optional[int] = None,
+        target_left: Optional[int] = None,
+    ) -> None:
+        """Run one cycle, then jump an idle network to ``stop``.
+
+        The engine-level step of :meth:`TorusWorkload.run
+        <repro.simulator.network.TorusWorkload.run>`, shared with
+        :meth:`SpanEngine.advance <repro.simulator.span.SpanEngine.advance>`:
+        no jump after a cycle in which the backlog exceeds
+        ``backlog_limit`` or ``target_left`` deliveries were made, since
+        the run ends there.
+        """
+        completed = self.counters.completed
+        self.step()
+        c = self.counters
+        if backlog_limit is not None and c.generated - c.completed > backlog_limit:
+            return
+        if target_left is not None and c.completed - completed >= target_left:
+            return
+        if self.idle():
+            self.fast_forward_to(stop)
+
     def idle(self) -> bool:
         """True when nothing is in flight, queued or pending."""
         return not self.messages and not self._arrival_heap
+
+    def held_vcs(self) -> List[Tuple[int, int]]:
+        """``(channel, vc)`` of every virtual channel held by a message."""
+        return [
+            (ch, vc) for ch, pool in enumerate(self.pools) for vc in pool.busy_vcs()
+        ]
+
+    def free_vcs(self, channel: int) -> List[int]:
+        """Free VCs of ``channel``, class by class, bottom of stack first."""
+        return [vc for free in self.pools[channel].free_by_class for vc in free]
+
+    def queued_messages(self) -> List[Message]:
+        """Messages waiting in source queues (the heads included)."""
+        return [msg for queue in self._source_queues.values() for msg in queue]
 
     def fast_forward_to(self, cycle: int) -> None:
         """Jump an idle engine's clock forward to ``cycle``.

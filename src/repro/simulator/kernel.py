@@ -1,9 +1,9 @@
-"""Per-cycle kernels for the structure-of-arrays engine.
+"""C kernels for the structure-of-arrays engines.
 
-The SoA engine (:mod:`repro.simulator.soa`) keeps the entire link-
-arbitration state in flat preallocated ``numpy`` int32 arrays indexed by
-*slot* (``channel * num_vcs + vc``).  One engine cycle then reduces to a
-fixed two-pass sweep over those arrays:
+Both SoA engines keep the link-arbitration state in flat preallocated
+``numpy`` int32 arrays indexed by *slot* (``channel * num_vcs + vc``).
+The *link phase* of one cycle is then a fixed two-pass sweep over those
+arrays:
 
 * **pass 1 (scan)** — for every channel with held VCs, pick the first
   *ready* VC in round-robin order from the channel's cursor, using
@@ -13,21 +13,20 @@ fixed two-pass sweep over those arrays:
   credit, and propagate the flit to the neighbouring worm segments
   through the ``nxt_idx`` / ``prv_idx`` links; slots whose ``moved``
   counter hits ``nxt_evt`` (header arrival or tail departure) are
-  reported back to Python for boundary handling.
+  boundary events.
 
-Two kernel entry points share that sweep:
+Two entry points share that link phase:
 
-* ``repro_soa_cycle`` advances **one** network per call (the solo
-  :class:`~repro.simulator.soa.SoACycleEngine`);
-* ``repro_soa_cycle_batch`` advances **B stacked networks** per call:
-  the slot arrays of B same-shape configurations live in contiguous
-  ``(B, slots + 1)`` planes (one sentinel slot per row) and one
-  invocation advances every *active* row through a whole *span* of
-  cycles — from its ``cur_cycle`` towards its caller-computed
-  ``stop_cycle``, breaking out early only after a cycle that emits
-  boundary events — reporting events as a merged list of global
-  indices ``row * row_stride + slot``.  This is what
-  :class:`~repro.simulator.batch.BatchedSoAEngine` runs on.
+* ``repro_soa_cycle`` runs the link phase of **one cycle** and hands
+  the boundary events back to Python — the per-cycle
+  :class:`~repro.simulator.soa.SoACycleEngine`, which serves adaptive
+  routing;
+* ``repro_soa_span`` runs **every phase of a whole span of cycles** for
+  deterministic routing — admission into per-source FIFOs, FCFS
+  virtual-channel allocation, the link phase, header and tail events,
+  VC release and delivery — on flat per-message records, a route pool
+  and intrusive per-(channel, class) request queues, and returns a
+  delivery log (:class:`~repro.simulator.span.SpanEngine`).
 
 Both are compiled from one C source on first use with the system C
 compiler into ``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro/
@@ -35,9 +34,9 @@ kernels``) and loaded through :mod:`ctypes`.  A cached shared object
 that fails to load (a worker killed mid-write, a truncated artifact
 from an interrupted run) is *quarantined* — renamed to ``*.corrupt``,
 mirroring the sweep cache's ``corrupt/`` convention — and compilation
-is retried once before degrading; pure-``numpy`` fallbacks with the
-identical integer semantics take over when no compiler is available or
-when ``REPRO_SOA_KERNEL=numpy`` forces them.
+is retried once before degrading; the per-cycle engine's pure-``numpy``
+link phase, with the identical integer semantics, takes over when no
+compiler is available or when ``REPRO_SOA_KERNEL=numpy`` forces it.
 
 All implementations produce bit-identical simulations (all state is
 integer).
@@ -57,7 +56,7 @@ from typing import Optional, Tuple
 
 __all__ = [
     "load_c_kernel",
-    "load_c_kernel_batch",
+    "load_span_kernel",
     "c_kernel_available",
     "kernel_cache_dir",
 ]
@@ -65,199 +64,370 @@ __all__ = [
 C_SOURCE = r"""
 #include <stdint.h>
 
-/* One cycle of the SoA flit engine.  Arrays avail/head_room/moved/
-   nxt_evt/nxt_idx/prv_idx have num_channels*num_vcs+1 entries: the last
-   entry is a write-off slot so segment links never need a branch (a
-   missing neighbour is linked to the sentinel).  Pass 1 reads start-of-
-   cycle state only; pass 2 applies all updates, so arbitration is
-   identical to the reference engine's scan-then-apply phases.
+/* Added to head_room once a hop is known to be final, so the downstream
+   depth check never blocks ejection (FINAL_BONUS in soa.py). */
+#define FINAL_BONUS (1 << 28)
 
-   All arguments arrive through one context block (two scalars followed
-   by the raw addresses of the arrays, see _CTX_LAYOUT in kernel.py):
-   marshalling a single pointer keeps the per-cycle ctypes overhead
-   flat. */
-int64_t repro_soa_cycle(const uint64_t *ctx)
+/* The link phase of one cycle over the channels set in busy (one bit
+   per channel with held VCs, in words of 64).  Slot arrays have
+   num_channels*num_vcs+1 entries: the last one is a write-off slot, so
+   a worm segment with no neighbour links to it and the apply loop needs
+   no branch.  Pass 1 reads start-of-cycle state only and pass 2 applies
+   every update, so arbitration matches the reference engine's
+   scan-then-apply phases.  Events come out in ascending slot order. */
+static int32_t link_phase(int32_t num_words, const uint64_t *busy,
+                          int32_t num_vcs, int32_t *rr,
+                          int32_t *avail, int32_t *head_room,
+                          int32_t *moved, const int32_t *nxt_evt,
+                          const int32_t *nxt_idx, const int32_t *prv_idx,
+                          int64_t *chan_flits, int32_t *win,
+                          int32_t *events, int32_t *n_events)
 {
-    int32_t num_channels = (int32_t) ctx[0];
-    int32_t num_vcs      = (int32_t) ctx[1];
-    const int32_t *busy_cnt   = (const int32_t *) ctx[2];  /* (C,)   */
-    int32_t *rr               = (int32_t *) ctx[3];        /* (C,)   */
-    int32_t *avail            = (int32_t *) ctx[4];        /* (N+1,) */
-    int32_t *head_room        = (int32_t *) ctx[5];        /* (N+1,) */
-    int32_t *moved            = (int32_t *) ctx[6];        /* (N+1,) */
-    const int32_t *nxt_evt    = (const int32_t *) ctx[7];  /* (N+1,) */
-    const int32_t *nxt_idx    = (const int32_t *) ctx[8];  /* (N+1,) */
-    const int32_t *prv_idx    = (const int32_t *) ctx[9];  /* (N+1,) */
-    int64_t *chan_flits       = (int64_t *) ctx[10];       /* (C,)   */
-    int32_t *win_slots        = (int32_t *) ctx[11];       /* (C,)   */
-    int32_t *events_out       = (int32_t *) ctx[12];       /* (C,)   */
-    int32_t *n_events_out     = (int32_t *) ctx[13];       /* (1,)   */
-
-    int32_t nwin = 0;
-    for (int32_t c = 0; c < num_channels; ++c) {
-        if (busy_cnt[c] == 0) continue;
-        int32_t base = c * num_vcs;
-        int32_t start = rr[c];
-        for (int32_t i = 0; i < num_vcs; ++i) {
-            int32_t v = start + i;
-            if (v >= num_vcs) v -= num_vcs;
-            int32_t s = base + v;
-            if (avail[s] > 0 && head_room[s] > 0) {
-                win_slots[nwin++] = s;
-                rr[c] = (v + 1 == num_vcs) ? 0 : v + 1;
-                break;
+    int32_t nwin = 0, nev = 0;
+    for (int32_t w = 0; w < num_words; ++w) {
+        for (uint64_t bits = busy[w]; bits; bits &= bits - 1) {
+            int32_t c = (w << 6) + __builtin_ctzll(bits);
+            int32_t base = c * num_vcs, start = rr[c];
+            for (int32_t i = 0; i < num_vcs; ++i) {
+                int32_t v = start + i;
+                if (v >= num_vcs) v -= num_vcs;
+                int32_t s = base + v;
+                if (avail[s] > 0 && head_room[s] > 0) {
+                    win[nwin++] = s;
+                    rr[c] = (v + 1 == num_vcs) ? 0 : v + 1;
+                    break;
+                }
             }
         }
     }
-    int32_t nev = 0;
-    for (int32_t w = 0; w < nwin; ++w) {
-        int32_t s = win_slots[w];
+    for (int32_t i = 0; i < nwin; ++i) {
+        int32_t s = win[i];
         int32_t m = ++moved[s];
         --avail[s];
         --head_room[s];
         ++avail[nxt_idx[s]];
         ++head_room[prv_idx[s]];
         ++chan_flits[s / num_vcs];
-        if (m == nxt_evt[s]) events_out[nev++] = s;
+        if (m == nxt_evt[s]) events[nev++] = s;
     }
-    *n_events_out = nev;
-    return (int64_t) nwin;
+    *n_events = nev;
+    return nwin;
 }
 
-/* A *span* of cycles for B stacked same-shape networks.  Every state
-   array is a contiguous (num_rows, ...) plane — slot arrays carry
-   row_stride = num_channels*num_vcs+1 entries per row (each row owns
-   its own sentinel slot) — and rows are fully independent: the sweep
-   below is the solo kernel applied row by row with offset base
-   pointers, so a batched row is bit-identical to the same network
-   advanced solo.
-
-   Between two kernel calls the *only* Python-side state mutations are
-   arrival admission, VC (de)allocation and boundary handling; the
-   caller encodes "nothing Python-side is due before cycle
-   stop_cycle[b]" per row, and within that window this kernel may run
-   many cycles autonomously:
-
-   * a row advances from cur_cycle[b] until its stop_cycle[b], but
-     stops early right after the first cycle that emits boundary
-     events (those need Python before the next cycle can be correct);
-   * a cycle with zero winners is a fixed point — no array changes
-     without a move, and busy_cnt / nxt_evt only change Python-side —
-     so the row provably stays move-free and jumps straight to stop;
-   * busy_cnt is likewise constant for the whole call, so each row's
-     busy-channel list is built once and only those channels are
-     scanned per cycle.
-
-   Rows with active[b] == 0 are retired configurations: skipped
-   wholesale without reshaping the batch.  Outputs per row: the new
-   cur_cycle, the span's total flit moves and the cycle of its last
-   move (-1 if none); boundary events are merged across rows into one
-   ascending list of global indices b * row_stride + slot.  At most
-   one event cycle fires per row per call, so events_out still needs
-   only num_rows*num_channels entries.  See _BATCH_CTX_LAYOUT in
-   kernel.py for the context block. */
-int64_t repro_soa_cycle_batch(const uint64_t *ctx)
+/* One cycle's link phase for the per-cycle engine.  All arguments
+   arrive through one context block of scalars and raw array addresses
+   (_CTX_LAYOUT in kernel.py), which keeps the per-call ctypes cost
+   flat. */
+int64_t repro_soa_cycle(const uint64_t *ctx)
 {
-    int32_t num_rows     = (int32_t) ctx[0];
-    int32_t num_channels = (int32_t) ctx[1];
-    int32_t num_vcs      = (int32_t) ctx[2];
-    int32_t row_stride   = (int32_t) ctx[3];
-    const int32_t *active    = (const int32_t *) ctx[4];   /* (B,)    */
-    const int32_t *busy_cnt  = (const int32_t *) ctx[5];   /* (B,C)   */
-    int32_t *rr              = (int32_t *) ctx[6];         /* (B,C)   */
-    int32_t *avail           = (int32_t *) ctx[7];         /* (B,S+1) */
-    int32_t *head_room       = (int32_t *) ctx[8];         /* (B,S+1) */
-    int32_t *moved           = (int32_t *) ctx[9];         /* (B,S+1) */
-    const int32_t *nxt_evt   = (const int32_t *) ctx[10];  /* (B,S+1) */
-    const int32_t *nxt_idx   = (const int32_t *) ctx[11];  /* (B,S+1) */
-    const int32_t *prv_idx   = (const int32_t *) ctx[12];  /* (B,S+1) */
-    int64_t *chan_flits      = (int64_t *) ctx[13];        /* (B,C)   */
-    int32_t *win_slots       = (int32_t *) ctx[14];        /* (C,)    */
-    int32_t *busy_list       = (int32_t *) ctx[15];        /* (C,)    */
-    int32_t *events_out      = (int32_t *) ctx[16];        /* (B*C,)  */
-    int32_t *n_events_out    = (int32_t *) ctx[17];        /* (1,)    */
-    int64_t *moves_out       = (int64_t *) ctx[18];        /* (B,)    */
-    int64_t *cur_cycle       = (int64_t *) ctx[19];        /* (B,) io */
-    const int64_t *stop_cycle = (const int64_t *) ctx[20]; /* (B,)    */
-    int64_t *last_move_out   = (int64_t *) ctx[21];        /* (B,)    */
+    int32_t num_channels = (int32_t) ctx[0];
+    const int32_t *busy_cnt = (const int32_t *) ctx[2];
+    int32_t nw = (num_channels + 63) >> 6;
+    uint64_t busy[nw];
+    for (int32_t w = 0; w < nw; ++w) busy[w] = 0;
+    for (int32_t c = 0; c < num_channels; ++c)
+        if (busy_cnt[c]) busy[c >> 6] |= 1ull << (c & 63);
+    return link_phase(nw, busy, (int32_t) ctx[1], (int32_t *) ctx[3],
+                      (int32_t *) ctx[4], (int32_t *) ctx[5],
+                      (int32_t *) ctx[6], (const int32_t *) ctx[7],
+                      (const int32_t *) ctx[8], (const int32_t *) ctx[9],
+                      (int64_t *) ctx[10], (int32_t *) ctx[11],
+                      (int32_t *) ctx[12], (int32_t *) ctx[13]);
+}
 
-    int64_t total = 0;
-    int32_t nev = 0;
-    for (int32_t b = 0; b < num_rows; ++b) {
-        moves_out[b] = 0;
-        last_move_out[b] = -1;
-        if (!active[b]) continue;
-        int64_t cyc = cur_cycle[b];
-        int64_t stop = stop_cycle[b];
-        if (cyc >= stop) continue;
-        int32_t row_off = b * row_stride;
-        const int32_t *busy_b = busy_cnt + (int64_t) b * num_channels;
-        int32_t *rr_b         = rr + (int64_t) b * num_channels;
-        int32_t *avail_b      = avail + row_off;
-        int32_t *head_b       = head_room + row_off;
-        int32_t *moved_b      = moved + row_off;
-        const int32_t *nev_b  = nxt_evt + row_off;
-        const int32_t *nxt_b  = nxt_idx + row_off;
-        const int32_t *prv_b  = prv_idx + row_off;
-        int64_t *flits_b      = chan_flits + (int64_t) b * num_channels;
+/* ---- the whole-span kernel -------------------------------------------
 
-        int32_t nbusy = 0;
-        for (int32_t c = 0; c < num_channels; ++c)
-            if (busy_b[c] != 0) busy_list[nbusy++] = c;
-        if (nbusy == 0) {             /* nothing can move all span */
-            cur_cycle[b] = stop;
-            continue;
-        }
-        int64_t mvtot = 0;
-        while (cyc < stop) {
-            int32_t nwin = 0;
-            for (int32_t i = 0; i < nbusy; ++i) {
-                int32_t c = busy_list[i];
-                int32_t base = c * num_vcs;
-                int32_t start = rr_b[c];
-                for (int32_t j = 0; j < num_vcs; ++j) {
-                    int32_t v = start + j;
-                    if (v >= num_vcs) v -= num_vcs;
-                    int32_t s = base + v;
-                    if (avail_b[s] > 0 && head_b[s] > 0) {
-                        win_slots[nwin++] = s;
-                        rr_b[c] = (v + 1 == num_vcs) ? 0 : v + 1;
-                        break;
-                    }
+   Message records are REC_FIELDS int32s (SPAN_RECORD_FIELDS in
+   kernel.py); route pool entries are channel * 2 + dateline class,
+   which is also the index of that (channel, class) request queue.  A
+   message has at most one pending request (its header's next hop), so
+   each queue is an intrusive FCFS list through R_RNEXT, and each
+   source's injection FIFO one through R_SNEXT.  Free VCs of a
+   (channel, class) form a stack in fstack, lowest VC on top at the
+   start; a release pushes, a grant pops.  Channels holding VCs are
+   kept as a bitmap (busy) for the link phase, and channels to visit in
+   the next allocation pass as another (mark).  Run state that outlives
+   one call lives in the int64 io block (SPAN_IO_LAYOUT in kernel.py). */
+enum { R_SRC, R_LEN, R_ROFF, R_NHOPS, R_HSLOT, R_SNEXT, R_RNEXT, REC_FIELDS };
+enum { IO_CYCLE, IO_STOP, IO_BACKLOG, IO_TARGET, IO_ADMITTED, IO_GENERATED,
+       IO_COMPLETED, IO_FLITS, IO_CYCLES_RUN, IO_PROGRESS, IO_WATCHDOG,
+       IO_DELIVERED, IO_DIRTY, IO_PENDING, IO_PASS, IO_HELD };
+
+typedef struct {
+    int32_t nch, nvc, split, depth, nslot, cur;
+    int32_t *busy_cnt, *rr, *avail, *head_room, *moved, *nxt_evt;
+    int32_t *nxt_idx, *prv_idx, *win, *events, *slot_rec, *slot_hop, *rec;
+    const int32_t *route;
+    int32_t *src_head, *src_tail, *q_head, *q_tail, *pend, *fstack, *ftop;
+    int32_t *log_rec;
+    uint64_t *mark, *pass, *busy;
+    int64_t *chan_flits, *stamp, *log_cyc;
+    int64_t pass_id, npend, held, nlog, dirty;
+} span_t;
+
+/* Queue r's request for its route hop `hop` and note the channel for
+   allocation.  Outside a pass the channel is marked for the next one.
+   During a pass (cur >= 0 is the channel being visited) it joins the
+   running pass instead iff its id is above cur, it is not in the pass
+   yet, and it had pending requests when the pass began; stamp keeps
+   that start state from the channel's first mid-pass request. */
+static void request(span_t *k, int32_t r, int32_t hop)
+{
+    int32_t *rec = k->rec + (int64_t) r * REC_FIELDS;
+    int32_t q = k->route[rec[R_ROFF] + hop];
+    int32_t ch = q >> 1, w = ch >> 6;
+    uint64_t bit = 1ull << (ch & 63);
+    rec[R_RNEXT] = -1;
+    if (k->q_tail[q] < 0) k->q_head[q] = r;
+    else k->rec[(int64_t) k->q_tail[q] * REC_FIELDS + R_RNEXT] = r;
+    k->q_tail[q] = r;
+    if (k->cur >= 0 && (k->stamp[ch] >> 1) != k->pass_id)
+        k->stamp[ch] = (k->pass_id << 1) | (k->pend[ch] > 0);
+    if (k->cur >= 0 && ch > k->cur && (k->stamp[ch] & 1)
+        && !(k->pass[w] & bit))
+        k->pass[w] |= bit;
+    else
+        k->mark[w] |= bit;
+    ++k->pend[ch];
+    ++k->npend;
+    k->dirty = 1;
+}
+
+/* Give VC vc of channel ch to message r for its next hop; an injection
+   grant pops the source FIFO and the next head requests its first hop. */
+static void grant(span_t *k, int32_t ch, int32_t vc, int32_t r)
+{
+    int32_t *rec = k->rec + (int64_t) r * REC_FIELDS;
+    int32_t s = ch * k->nvc + vc, prev = rec[R_HSLOT];
+    int32_t hop = prev < 0 ? 0 : k->slot_hop[prev] + 1;
+    k->slot_rec[s] = r;
+    k->slot_hop[s] = hop;
+    k->moved[s] = 0;
+    k->nxt_evt[s] = 1;
+    k->nxt_idx[s] = k->nslot;
+    if (prev < 0) {
+        k->avail[s] = rec[R_LEN];
+        k->prv_idx[s] = k->nslot;
+    } else {
+        k->avail[s] = k->moved[prev];
+        k->prv_idx[s] = prev;
+        k->nxt_idx[prev] = s;
+    }
+    k->head_room[s] = k->depth + (hop == rec[R_NHOPS] - 1 ? FINAL_BONUS : 0);
+    if (k->busy_cnt[ch]++ == 0) k->busy[ch >> 6] |= 1ull << (ch & 63);
+    ++k->held;
+    rec[R_HSLOT] = s;
+    if (prev < 0) {
+        int32_t src = rec[R_SRC], nx = rec[R_SNEXT];
+        k->src_head[src] = nx;
+        if (nx < 0) k->src_tail[src] = -1;
+        else request(k, nx, 0);
+    }
+}
+
+static void release(span_t *k, int32_t s)
+{
+    int32_t ch = s / k->nvc, vc = s - ch * k->nvc;
+    int32_t cls = vc >= k->split;
+    k->fstack[ch * k->nvc + (cls ? k->split : 0) + k->ftop[2 * ch + cls]++] = vc;
+    k->mark[ch >> 6] |= 1ull << (ch & 63);
+    k->dirty = 1;
+    k->slot_rec[s] = -1;
+    k->slot_hop[s] = -1;
+    k->avail[s] = 0;
+    k->head_room[s] = 0;
+    k->moved[s] = 0;
+    k->nxt_evt[s] = 0;
+    if (--k->busy_cnt[ch] == 0) k->busy[ch >> 6] &= ~(1ull << (ch & 63));
+    --k->held;
+}
+
+/* One FCFS allocation pass over the marked channels in ascending id:
+   class 0 then class 1, granting while a VC of the class is free. */
+static void alloc_pass(span_t *k)
+{
+    int32_t nw = (k->nch + 63) >> 6;
+    k->dirty = 0;
+    ++k->pass_id;
+    for (int32_t w = 0; w < nw; ++w) {
+        k->pass[w] = k->mark[w];
+        k->mark[w] = 0;
+    }
+    for (int32_t w = 0; w < nw; ++w) {
+        while (k->pass[w]) {
+            uint64_t bits = k->pass[w];
+            int32_t ch = (w << 6) + __builtin_ctzll(bits);
+            k->pass[w] = bits & (bits - 1);
+            k->cur = ch;
+            for (int32_t cls = 0; cls < 2; ++cls) {
+                int32_t q = 2 * ch + cls;
+                int32_t *stack = k->fstack + ch * k->nvc + (cls ? k->split : 0);
+                while (k->q_head[q] >= 0 && k->ftop[q] > 0) {
+                    int32_t r = k->q_head[q];
+                    int32_t nx = k->rec[(int64_t) r * REC_FIELDS + R_RNEXT];
+                    k->q_head[q] = nx;
+                    if (nx < 0) k->q_tail[q] = -1;
+                    --k->pend[ch];
+                    --k->npend;
+                    grant(k, ch, stack[--k->ftop[q]], r);
                 }
             }
-            if (nwin == 0) {          /* fixed point: jump the stall */
-                cyc = stop;
+        }
+    }
+    k->cur = -1;
+}
+
+/* Header arrival (moved == 1) requests the next hop; tail departure
+   (moved == length) frees the upstream VC, and on the final hop also
+   this one, logging the delivery.  With length 1 both run. */
+static void boundary(span_t *k, int32_t s, int64_t cyc)
+{
+    int32_t r = k->slot_rec[s], hop = k->slot_hop[s], m = k->moved[s];
+    int32_t len = k->rec[(int64_t) r * REC_FIELDS + R_LEN];
+    int32_t last = k->rec[(int64_t) r * REC_FIELDS + R_NHOPS] - 1;
+    if (m == 1) {
+        if (hop < last) request(k, r, hop + 1);
+        k->nxt_evt[s] = len;
+    }
+    if (m == len) {
+        if (hop >= 1) {
+            release(k, k->prv_idx[s]);
+            k->prv_idx[s] = k->nslot;
+        }
+        if (hop == last) {
+            release(k, s);
+            k->log_rec[k->nlog] = r;
+            k->log_cyc[k->nlog++] = cyc;
+        }
+    }
+}
+
+/* Admit the io[IO_ADMITTED] records of admit[] at cycle io[IO_CYCLE],
+   then run cycles until io[IO_STOP]: an allocation pass when a request
+   or release happened since the last one and a request is pending, the
+   link phase, then the boundary events in ascending slot order.  The
+   span ends early after a cycle whose backlog exceeds io[IO_BACKLOG]
+   or whose deliveries reach io[IO_TARGET]; an empty network jumps to
+   the stop.  Returns -1 if no flit moved for io[IO_WATCHDOG] cycles
+   with messages in flight, else 0.  See SPAN_CTX_LAYOUT in kernel.py
+   for the context block. */
+int64_t repro_soa_span(const uint64_t *ctx)
+{
+    span_t k;
+    int64_t *io = (int64_t *) ctx[4];
+    const int32_t *admit = (const int32_t *) ctx[20];
+    k.nch = (int32_t) ctx[0];
+    k.nvc = (int32_t) ctx[1];
+    k.split = (int32_t) ctx[2];
+    k.depth = (int32_t) ctx[3];
+    k.busy_cnt = (int32_t *) ctx[5];
+    k.rr = (int32_t *) ctx[6];
+    k.avail = (int32_t *) ctx[7];
+    k.head_room = (int32_t *) ctx[8];
+    k.moved = (int32_t *) ctx[9];
+    k.nxt_evt = (int32_t *) ctx[10];
+    k.nxt_idx = (int32_t *) ctx[11];
+    k.prv_idx = (int32_t *) ctx[12];
+    k.chan_flits = (int64_t *) ctx[13];
+    k.win = (int32_t *) ctx[14];
+    k.events = (int32_t *) ctx[15];
+    k.slot_rec = (int32_t *) ctx[16];
+    k.slot_hop = (int32_t *) ctx[17];
+    k.rec = (int32_t *) ctx[18];
+    k.route = (const int32_t *) ctx[19];
+    k.src_head = (int32_t *) ctx[21];
+    k.src_tail = (int32_t *) ctx[22];
+    k.q_head = (int32_t *) ctx[23];
+    k.q_tail = (int32_t *) ctx[24];
+    k.pend = (int32_t *) ctx[25];
+    k.fstack = (int32_t *) ctx[26];
+    k.ftop = (int32_t *) ctx[27];
+    k.mark = (uint64_t *) ctx[28];
+    k.pass = (uint64_t *) ctx[29];
+    k.stamp = (int64_t *) ctx[30];
+    k.log_rec = (int32_t *) ctx[31];
+    k.log_cyc = (int64_t *) ctx[32];
+    k.busy = (uint64_t *) ctx[33];
+    k.nslot = k.nch * k.nvc;
+    k.cur = -1;
+    k.nlog = 0;
+    k.pass_id = io[IO_PASS];
+    k.npend = io[IO_PENDING];
+    k.held = io[IO_HELD];
+    k.dirty = io[IO_DIRTY];
+
+    int64_t cyc = io[IO_CYCLE], stop = io[IO_STOP];
+    int64_t generated = io[IO_GENERATED], completed = io[IO_COMPLETED];
+    int64_t flits = io[IO_FLITS], cycles_run = io[IO_CYCLES_RUN];
+    int64_t progress = io[IO_PROGRESS], status = 0;
+    for (int64_t i = 0; i < io[IO_ADMITTED]; ++i) {
+        int32_t r = admit[i];
+        int32_t *rec = k.rec + (int64_t) r * REC_FIELDS;
+        int32_t src = rec[R_SRC];
+        rec[R_HSLOT] = -1;
+        rec[R_SNEXT] = -1;
+        if (k.src_tail[src] < 0) {
+            k.src_head[src] = r;
+            k.src_tail[src] = r;
+            request(&k, r, 0);
+        } else {
+            k.rec[(int64_t) k.src_tail[src] * REC_FIELDS + R_SNEXT] = r;
+            k.src_tail[src] = r;
+        }
+        ++generated;
+    }
+    while (cyc < stop) {
+        int32_t moves = 0, nev = 0;
+        if (k.dirty && k.npend > 0) alloc_pass(&k);
+        if (k.held > 0)
+            moves = link_phase((k.nch + 63) >> 6, k.busy, k.nvc, k.rr,
+                               k.avail, k.head_room, k.moved, k.nxt_evt,
+                               k.nxt_idx, k.prv_idx, k.chan_flits, k.win,
+                               k.events, &nev);
+        for (int32_t i = 0; i < nev; ++i) boundary(&k, k.events[i], cyc);
+        int64_t inflight = generated - completed - k.nlog;
+        flits += moves;
+        if (moves) {
+            progress = cyc;
+        } else if (inflight) {
+            if (cyc - progress > io[IO_WATCHDOG]) {
+                status = -1;
                 break;
             }
-            int32_t nev0 = nev;
-            for (int32_t w = 0; w < nwin; ++w) {
-                int32_t s = win_slots[w];
-                int32_t m = ++moved_b[s];
-                --avail_b[s];
-                --head_b[s];
-                ++avail_b[nxt_b[s]];
-                ++head_b[prv_b[s]];
-                ++flits_b[s / num_vcs];
-                if (m == nev_b[s]) events_out[nev++] = row_off + s;
-            }
-            mvtot += nwin;
-            last_move_out[b] = cyc;
-            ++cyc;
-            if (nev != nev0) break;   /* boundary work due Python-side */
+        } else {
+            progress = cyc;
         }
-        cur_cycle[b] = cyc;
-        moves_out[b] = mvtot;
-        total += mvtot;
+        ++cyc;
+        ++cycles_run;
+        if (inflight > io[IO_BACKLOG] || k.nlog >= io[IO_TARGET]) break;
+        if (inflight == 0) {
+            if (cyc < stop) {
+                cycles_run += stop - cyc;
+                cyc = stop;
+                progress = stop;
+            }
+            break;
+        }
     }
-    *n_events_out = nev;
-    return total;
+    io[IO_CYCLE] = cyc;
+    io[IO_ADMITTED] = 0;
+    io[IO_GENERATED] = generated;
+    io[IO_COMPLETED] = completed + k.nlog;
+    io[IO_FLITS] = flits;
+    io[IO_CYCLES_RUN] = cycles_run;
+    io[IO_PROGRESS] = progress;
+    io[IO_DELIVERED] = k.nlog;
+    io[IO_DIRTY] = k.dirty;
+    io[IO_PENDING] = k.npend;
+    io[IO_PASS] = k.pass_id;
+    io[IO_HELD] = k.held;
+    return status;
 }
 """
 
-#: Context-block layout consumed by the solo C kernel: two scalars
-#: followed by the raw base addresses of the state arrays, as unsigned
-#: 64-bit values.  Must match the ctx[...] casts in C_SOURCE.
+#: Context-block layout of ``repro_soa_cycle``: two scalars followed by
+#: the raw base addresses of the state arrays, as unsigned 64-bit
+#: values.  Must match the ctx[...] casts in C_SOURCE.
 _CTX_LAYOUT = (
     "num_channels",
     "num_vcs",
@@ -274,18 +444,15 @@ _CTX_LAYOUT = (
     "events_out",
     "n_events_out",
 )
-CTX_SIZE = len(_CTX_LAYOUT)
 
-#: Context-block layout of the batched kernel: four scalars, then the
-#: base addresses of the (num_rows, ...) planes, scratch buffers and
-#: per-row span control (int64 cur/stop/last-move/moves).  Must match
-#: the ctx[...] casts in ``repro_soa_cycle_batch``.
-_BATCH_CTX_LAYOUT = (
-    "num_rows",
+#: Context-block layout of ``repro_soa_span``: four scalars, then array
+#: base addresses.  Must match the ctx[...] casts in ``repro_soa_span``.
+SPAN_CTX_LAYOUT = (
     "num_channels",
     "num_vcs",
-    "row_stride",
-    "active",
+    "split",
+    "buffer_depth",
+    "io",
     "busy_cnt",
     "rr",
     "avail",
@@ -295,20 +462,63 @@ _BATCH_CTX_LAYOUT = (
     "nxt_idx",
     "prv_idx",
     "chan_flits",
-    "win_slots",
-    "busy_list",
-    "events_out",
-    "n_events_out",
-    "moves_out",
-    "cur_cycle",
-    "stop_cycle",
-    "last_move_out",
+    "win",
+    "events",
+    "slot_rec",
+    "slot_hop",
+    "rec",
+    "route",
+    "admit",
+    "src_head",
+    "src_tail",
+    "q_head",
+    "q_tail",
+    "pend",
+    "fstack",
+    "ftop",
+    "mark",
+    "pass_bits",
+    "stamp",
+    "log_rec",
+    "log_cyc",
+    "busy_bits",
 )
-BATCH_CTX_SIZE = len(_BATCH_CTX_LAYOUT)
+
+#: Fields of one span-kernel message record (int32 each); the R_* enum
+#: in C_SOURCE.
+SPAN_RECORD_FIELDS = (
+    "src",
+    "length",
+    "route_offset",
+    "hops",
+    "head_slot",
+    "source_next",
+    "request_next",
+)
+
+#: The span kernel's int64 run-state block; the IO_* enum in C_SOURCE.
+SPAN_IO_LAYOUT = (
+    "cycle",
+    "stop",
+    "backlog_limit",
+    "target",
+    "admitted",
+    "generated",
+    "completed",
+    "flit_moves",
+    "cycles_run",
+    "last_progress",
+    "watchdog",
+    "delivered",
+    "dirty",
+    "pending",
+    "pass_id",
+    "held",
+)
 
 _ARGTYPES = [ctypes.POINTER(ctypes.c_uint64)]
 
-#: ``(solo_fn, batch_fn)`` once loaded, else ``None``.
+#: ``(cycle_fn, span_fn)`` once loaded, else ``None``.
 _loaded: Optional[Tuple[object, object]] = None
 _load_attempted = False
 
@@ -359,7 +569,7 @@ def _compile(cache_dir: Path, so_path: Path) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(src)],
+            [cc, "-O1", "-shared", "-fPIC", "-o", tmp, str(src)],
             check=True,
             capture_output=True,
             timeout=120,
@@ -391,7 +601,7 @@ def _load_functions(so_path: Path) -> Tuple[object, object]:
     """CDLL + typed handles for both kernel entry points."""
     lib = ctypes.CDLL(str(so_path))
     fns = []
-    for name in ("repro_soa_cycle", "repro_soa_cycle_batch"):
+    for name in ("repro_soa_cycle", "repro_soa_span"):
         fn = getattr(lib, name)
         fn.argtypes = _ARGTYPES
         fn.restype = ctypes.c_int64
@@ -450,13 +660,13 @@ def _load() -> Optional[Tuple[object, object]]:
 
 
 def load_c_kernel() -> Optional[object]:
-    """The compiled single-network ``repro_soa_cycle``, or ``None``."""
+    """The compiled per-cycle ``repro_soa_cycle``, or ``None``."""
     fns = _load()
     return None if fns is None else fns[0]
 
 
-def load_c_kernel_batch() -> Optional[object]:
-    """The compiled multi-network ``repro_soa_cycle_batch``, or ``None``."""
+def load_span_kernel() -> Optional[object]:
+    """The compiled whole-span ``repro_soa_span``, or ``None``."""
     fns = _load()
     return None if fns is None else fns[1]
 

@@ -11,17 +11,20 @@ a spawned child RNG) rather than one ``next_gap`` call per message;
 destination draws stay on the workload RNG in admission order, so a run
 is fully determined by ``config.seed`` for any engine and job count.
 
-The cycle engine is selected by ``config.engine`` /
-``$REPRO_ENGINE``: the structure-of-arrays engine
-(:class:`~repro.simulator.soa.SoACycleEngine`, default) or the
-reference engine (:class:`~repro.simulator.engine.CycleEngine`); the
-two are bit-identical in output.
+The engine follows ``config.engine`` / ``$REPRO_ENGINE`` and the
+routing mode: deterministic routing runs on the whole-span C kernel
+(:class:`~repro.simulator.span.SpanEngine`) whenever it compiles;
+adaptive routing, and any run without a compiler or under
+``REPRO_SOA_KERNEL=numpy``, on the per-cycle structure-of-arrays engine
+(:class:`~repro.simulator.soa.SoACycleEngine`); ``engine="reference"``
+selects the object engine (:class:`~repro.simulator.engine.CycleEngine`).
+All three are bit-identical in output and driven by the one loop in
+:meth:`TorusWorkload.run`.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -30,7 +33,8 @@ from repro.simulator.config import SimulationConfig, resolve_engine_kind
 from repro.traffic.burst import ArrivalModel, ExponentialArrivals
 from repro.simulator.engine import CycleEngine
 from repro.simulator.flit import Message
-from repro.simulator.soa import SoACycleEngine
+from repro.simulator.soa import SoACycleEngine, resolve_soa_kernel
+from repro.simulator.span import SpanEngine
 from repro.simulator.router import RouteTable
 from repro.simulator.stats import BatchMeans, LatencyStats
 from repro.topology.kary_ncube import KAryNCube
@@ -116,17 +120,27 @@ class TorusWorkload:
         )
         adaptive = config.routing == "adaptive"
         self.engine_kind = resolve_engine_kind(config.engine)
-        engine_cls = (
-            CycleEngine if self.engine_kind == "reference" else SoACycleEngine
-        )
-        self.engine = engine_cls(
+        shape = dict(
             num_channels=total_channels,
             num_vcs=config.num_vcs,
             buffer_depth=config.buffer_depth,
             on_delivery=self._on_delivery,
-            next_hop_chooser=self._choose_next_hop if adaptive else None,
-            adaptive=adaptive,
         )
+        if (
+            self.engine_kind == "soa"
+            and not adaptive
+            and resolve_soa_kernel() == "c"
+        ):
+            self.engine = SpanEngine(num_sources=self.network.num_nodes, **shape)
+        else:
+            engine_cls = (
+                CycleEngine if self.engine_kind == "reference" else SoACycleEngine
+            )
+            self.engine = engine_cls(
+                next_hop_chooser=self._choose_next_hop if adaptive else None,
+                adaptive=adaptive,
+                **shape,
+            )
         self._msg_seq = 0
         # Lazy arrival generation: one pending arrival per source, with
         # gaps pre-drawn in blocks from a per-source child RNG.
@@ -292,46 +306,49 @@ class TorusWorkload:
 
     # ------------------------------------------------------------------
     def run(self) -> None:
-        """Run warmup + measurement (or until saturation abort)."""
+        """Run warmup + measurement (or until saturation abort).
+
+        One loop for every engine: feed the arrivals due this cycle,
+        then let the engine :meth:`advance` to the next arrival cycle,
+        clamped at the warmup edge (so the utilisation snapshot is taken
+        on that cycle even when the network is idle there) and at the
+        end of the run.  The per-cycle engines step one cycle and jump
+        only when idle; the span engine runs the whole span in C.
+        """
         cfg = self.config
-        if not self._arrivals:
-            self._flits_at_warmup = self.engine.channel_flit_counts.copy()
-            return
         engine = self.engine
+        if not self._arrivals:
+            self._flits_at_warmup = engine.channel_flit_counts.copy()
+            return
         backlog_limit = int(cfg.saturation_backlog_factor * cfg.num_nodes)
         total = cfg.total_cycles
         target = cfg.target_completions
         warmup_end = self.warmup_end
-        # Hot loop: every attribute used per cycle is a local.
         feed = self._feed_arrivals
-        step = engine.step
+        advance = engine.advance
         counters = engine.counters
         all_stats = self.all_stats
         heap = self._arrivals
         while engine.cycle < total:
-            if engine.cycle == warmup_end and self._flits_at_warmup is None:
+            cycle = engine.cycle
+            if cycle == warmup_end and self._flits_at_warmup is None:
                 self._flits_at_warmup = engine.channel_flit_counts.copy()
                 self._cycles_at_warmup = counters.cycles_run
             feed()
-            step()
+            stop = min(int(heap[0][0]), total)
+            if cycle < warmup_end < stop:
+                stop = warmup_end
+            left = None
+            if target is not None and cycle >= warmup_end:
+                left = target - all_stats.count
+            advance(stop, backlog_limit, left)
             if counters.generated - counters.completed > backlog_limit:
                 break
             if target is not None and all_stats.count >= target:
                 break
-            if heap and engine.idle():
-                # Fully idle network: jump the clock to the next pending
-                # (workload-side) arrival instead of stepping through
-                # empty cycles one by one, clamping at the warmup
-                # boundary so the snapshot above is still taken on the
-                # right cycle.  Skipped cycles count as run — see
-                # CycleEngine.fast_forward_to.
-                nxt = min(int(heap[0][0]), total)
-                if engine.cycle < warmup_end < nxt:
-                    nxt = warmup_end
-                engine.fast_forward_to(nxt)
         if self._flits_at_warmup is None:
             self._flits_at_warmup = engine.channel_flit_counts.copy()
-            self._cycles_at_warmup = engine.counters.cycles_run
+            self._cycles_at_warmup = counters.cycles_run
 
     # ------------------------------------------------------------------
     def backlog_saturated(self) -> bool:

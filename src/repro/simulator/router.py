@@ -66,35 +66,35 @@ class RouteTable:
         if cached is not None:
             return cached
         net = self.network
-        k, n = net.k, net.n
+        k, n, dirs = net.k, net.n, self._dirs
         src = net.unrank(src_rank)
         dst = net.unrank(dest_rank)
         channels: List[int] = []
         classes: List[int] = []
-        cur = list(src)
         cur_rank = src_rank
         for dim in range(n):
-            fwd = (dst[dim] - cur[dim]) % k
+            coord = src[dim]
+            fwd = (dst[dim] - coord) % k
             if fwd == 0:
                 continue
+            # Channel ids are channel_id(rank, dim, direction), inlined:
+            # this loop runs once per hop of every new route.
             if net.bidirectional and (k - fwd) < fwd:
-                direction, hops = -1, k - fwd
+                step, hops, bit, wrap = -1, k - fwd, 1, 0
             else:
-                direction, hops = +1, fwd
-            crossed_dateline = False
+                step, hops, bit, wrap = +1, fwd, 0, k - 1
             place = k ** (n - 1 - dim)
+            cls = 0
             for _ in range(hops):
                 # The wrap hop (k-1 -> 0 forwards, 0 -> k-1 backwards) and
                 # everything after it in this ring use dateline class 1.
-                if (direction == +1 and cur[dim] == k - 1) or (
-                    direction == -1 and cur[dim] == 0
-                ):
-                    crossed_dateline = True
-                channels.append(self.channel_id(cur_rank, dim, direction))
-                classes.append(1 if crossed_dateline else 0)
-                new_coord = (cur[dim] + direction) % k
-                cur_rank += (new_coord - cur[dim]) * place
-                cur[dim] = new_coord
+                if coord == wrap:
+                    cls = 1
+                channels.append((cur_rank * n + dim) * dirs + bit)
+                classes.append(cls)
+                new_coord = (coord + step) % k
+                cur_rank += (new_coord - coord) * place
+                coord = new_coord
         result = (channels, classes)
         self._cache[key] = result
         return result

@@ -9,19 +9,15 @@ with :meth:`repro.core.model.HotSpotLatencyModel.evaluate`.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
-import numpy as np
-
-from repro.core.results import SweepPoint, SweepResult
-from repro.simulator.config import SimulationConfig, resolve_engine_kind
+from repro.simulator.config import SimulationConfig
 from repro.simulator.network import TorusWorkload
 from repro.traffic.burst import ArrivalModel
 from repro.traffic.patterns import DestinationPattern
 
-__all__ = ["Simulation", "SimulationResult", "run_batch"]
+__all__ = ["Simulation", "SimulationResult"]
 
 
 @dataclass(frozen=True)
@@ -77,108 +73,24 @@ class Simulation:
         )
 
     def run(self) -> SimulationResult:
-        self.workload.run()
-        return _workload_result(self.workload)
-
-
-def _workload_result(w: TorusWorkload) -> SimulationResult:
-    """Assemble the result record of a finished workload.
-
-    Shared by :meth:`Simulation.run` and :func:`run_batch`, so a
-    batched row reports through exactly the same code path as a solo
-    run.
-    """
-    cfg = w.config
-    saturated = w.backlog_saturated() or (
-        w.drain_ratio() < cfg.min_drain_ratio
-    )
-    util = w.measured_channel_utilization()
-    return SimulationResult(
-        config=cfg,
-        mean_latency=w.all_stats.mean,
-        ci95=w.batches.confidence_interval(0.95),
-        mean_latency_regular=w.regular_stats.mean,
-        mean_latency_hot=w.hot_stats.mean,
-        num_completed=w.all_stats.count,
-        num_generated=w.measured_generated,
-        saturated=saturated,
-        mean_hops=w.all_stats.mean_hops,
-        max_channel_utilization=float(util.max()) if util.size else 0.0,
-        hot_sink_utilization=w.hot_sink_channel_utilization(),
-        cycles_run=w.engine.counters.cycles_run,
-    )
-
-
-def run_batch(
-    configs: Sequence[SimulationConfig],
-    seeds: Optional[Sequence[int]] = None,
-    *,
-    kernel: str = "auto",
-) -> List[SimulationResult]:
-    """Run many configurations, advancing same-shape ones as one batch.
-
-    Configurations sharing an array shape
-    (:func:`~repro.simulator.batch.batch_shape_key`) are stacked into a
-    :class:`~repro.simulator.batch.BatchedSoAEngine` so one kernel call
-    per tick sweeps all of them; the rest — singletons and
-    reference-engine rows — run solo.  Either way every configuration's
-    result is bit-identical to its solo run, and results come back in
-    input order.
-
-    ``seeds``, when given, overrides the per-configuration seed
-    (``len(seeds) == len(configs)``); ``kernel`` picks the batched
-    kernel like ``$REPRO_SOA_KERNEL`` does for solo runs.
-    """
-    from repro.simulator.batch import BatchedSoAEngine, batch_shape_key
-
-    cfgs = list(configs)
-    if seeds is not None:
-        if len(seeds) != len(cfgs):
-            raise ValueError(
-                f"got {len(cfgs)} configs but {len(seeds)} seeds"
-            )
-        cfgs = [replace(c, seed=int(s)) for c, s in zip(cfgs, seeds)]
-    results: List[Optional[SimulationResult]] = [None] * len(cfgs)
-    groups: Dict[Tuple, List[int]] = {}
-    for i, cfg in enumerate(cfgs):
-        if resolve_engine_kind(cfg.engine) == "reference":
-            results[i] = Simulation(cfg).run()
-        else:
-            groups.setdefault(batch_shape_key(cfg), []).append(i)
-    for idxs in groups.values():
-        if len(idxs) == 1:
-            results[idxs[0]] = Simulation(cfgs[idxs[0]]).run()
-            continue
-        workloads = [TorusWorkload(cfgs[i]) for i in idxs]
-        BatchedSoAEngine(workloads, kernel=kernel).run()
-        for i, w in zip(idxs, workloads):
-            results[i] = _workload_result(w)
-    return results
-
-
-def sweep(
-    base_config: SimulationConfig,
-    rates: Sequence[float],
-    label: str = "simulation",
-    *,
-    stop_after_saturation: bool = True,
-) -> SweepResult:
-    """Run the simulator over a load grid, mirroring the model's sweep.
-
-    Saturated points report ``latency = inf``; with
-    ``stop_after_saturation`` the sweep stops at the first saturated
-    point (higher loads are also saturated and only cost time).
-    """
-    from dataclasses import replace
-
-    out = SweepResult(label=label)
-    for r in rates:
-        cfg = replace(base_config, rate=float(r))
-        res = Simulation(cfg).run()
-        latency = math.inf if res.saturated else res.mean_latency
-        out.points.append(
-            SweepPoint(rate=float(r), latency=latency, saturated=res.saturated)
+        w = self.workload
+        w.run()
+        cfg = w.config
+        saturated = w.backlog_saturated() or (
+            w.drain_ratio() < cfg.min_drain_ratio
         )
-        if res.saturated and stop_after_saturation:
-            break
-    return out
+        util = w.measured_channel_utilization()
+        return SimulationResult(
+            config=cfg,
+            mean_latency=w.all_stats.mean,
+            ci95=w.batches.confidence_interval(0.95),
+            mean_latency_regular=w.regular_stats.mean,
+            mean_latency_hot=w.hot_stats.mean,
+            num_completed=w.all_stats.count,
+            num_generated=w.measured_generated,
+            saturated=saturated,
+            mean_hops=w.all_stats.mean_hops,
+            max_channel_utilization=float(util.max()) if util.size else 0.0,
+            hot_sink_utilization=w.hot_sink_channel_utilization(),
+            cycles_run=w.engine.counters.cycles_run,
+        )

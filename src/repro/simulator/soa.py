@@ -1,10 +1,15 @@
-"""Data-oriented (structure-of-arrays) cycle engine.
+"""Per-cycle structure-of-arrays engine: adaptive routing and fallback.
 
 :class:`SoACycleEngine` runs the same four-phase wormhole simulation as
-the reference :class:`~repro.simulator.engine.CycleEngine`, but the hot
-path — per-cycle readiness checks and flit moves — operates on flat
-preallocated ``numpy`` int32 arrays instead of per-message ``Message``
-objects and per-pool Python lists.  All arrays are indexed by *slot*
+the reference :class:`~repro.simulator.engine.CycleEngine`, one Python
+``step`` per cycle, but the link phase — per-cycle readiness checks and
+flit moves — operates on flat preallocated ``numpy`` int32 arrays
+instead of per-message ``Message`` objects and per-pool Python lists.
+Deterministic runs use the whole-span engine
+(:class:`~repro.simulator.span.SpanEngine`) when the C kernel compiles;
+this engine serves adaptive routing, whose next hops are chosen in
+Python, and every run on a host without a C compiler or under
+``REPRO_SOA_KERNEL=numpy``.  All arrays are indexed by *slot*
 (``channel * num_vcs + vc``), one slot per virtual channel:
 
 ``avail``
@@ -30,10 +35,10 @@ objects and per-pool Python lists.  All arrays are indexed by *slot*
     downstream and returns one credit upstream through these links, so
     per-message ``crossed`` vectors are never touched per cycle.
 
-A cycle is one scan-then-apply sweep over these arrays — the C kernel
-from :mod:`repro.simulator.kernel` when a compiler is available (set
-``REPRO_SOA_KERNEL=numpy`` to force the pure-numpy fallback, ``c`` to
-require the C kernel).  ``Message`` objects are only consulted at
+The link phase is one scan-then-apply sweep over these arrays — the
+per-cycle C kernel from :mod:`repro.simulator.kernel` when a compiler is
+available (set ``REPRO_SOA_KERNEL=numpy`` to force the pure-numpy
+fallback, ``c`` to require the C kernel).  ``Message`` objects are only consulted at
 injection, header-arrival, tail-departure and delivery boundaries,
 which occur twice per hop per message rather than once per flit.
 

@@ -95,41 +95,6 @@ class TestHarness:
         # Pre-batch baselines (no model_batch section) skip this gate.
         assert bench.check_regression(fast, self._report(50_000.0, 200.0)) == []
 
-    def test_measure_sim_batch_quick(self):
-        out = bench.measure_sim_batch(rounds=1, quick=True, batch=3)
-        assert out["batch"] == 3
-        assert out["cycles_run"] > 0
-        assert out["seconds_sequential"] > 0
-        assert out["seconds_batched"] > 0
-        assert out["speedup"] == pytest.approx(
-            out["seconds_sequential"] / out["seconds_batched"]
-        )
-        assert out["bit_identical"] is True
-        assert out["kernel"] in ("c", "numpy")
-
-    def test_check_regression_gates_sim_batch(self):
-        fast = self._report(50_000.0, 200.0)
-        fast["sim_batch"] = {
-            "cycles_per_sec_batched": 1_000_000.0, "bit_identical": True,
-        }
-        slow = self._report(50_000.0, 200.0)
-        slow["sim_batch"] = {
-            "cycles_per_sec_batched": 100_000.0, "bit_identical": True,
-        }
-        failures = bench.check_regression(slow, fast)
-        assert len(failures) == 1
-        assert "batched simulator throughput regressed" in failures[0]
-        # Pre-batch baselines (no sim_batch section) skip the gate.
-        assert bench.check_regression(fast, self._report(50_000.0, 200.0)) == []
-
-    def test_check_regression_fails_on_batch_divergence(self):
-        report = self._report(50_000.0, 200.0)
-        report["sim_batch"] = {
-            "cycles_per_sec_batched": 1e9, "bit_identical": False,
-        }
-        failures = bench.check_regression(report, self._report(50_000.0, 200.0))
-        assert any("bit-identical" in f for f in failures)
-
     def test_check_regression_model_kernel_mismatch(self):
         vec = self._report(50_000.0, 200.0, kernel="vector")
         sca = self._report(50_000.0, 150.0, kernel="scalar")
@@ -189,7 +154,6 @@ class TestCli:
         baseline["simulator"]["cycles_per_sec"] /= 100.0
         baseline["model"]["solves_per_sec"] /= 100.0
         baseline["model_batch"]["points_per_sec"] /= 100.0
-        baseline["sim_batch"]["cycles_per_sec_batched"] /= 100.0
         out.write_text(json.dumps(baseline))
         assert main(["bench", "--quick", "--rounds", "1",
                      "--check", str(out)]) == 0

@@ -1,11 +1,14 @@
-"""Cross-engine equivalence: SoA engine vs reference engine.
+"""Cross-engine equivalence: SoA engines vs reference engine.
 
-The structure-of-arrays engine is only allowed to be *faster* than the
-reference engine, never different: delivered-message streams (ids,
+The structure-of-arrays engines are only allowed to be *faster* than
+the reference engine, never different: delivered-message streams (ids,
 completion cycles, generation times), aggregate counters and
 per-channel flit counts must agree bit for bit on every configuration —
 deterministic and adaptive routing, uniform and hot-spot traffic, with
 and without ejection modelling, for both the C and the numpy kernel.
+With the C kernel, deterministic runs go through the whole-span engine
+(:class:`~repro.simulator.span.SpanEngine`) and adaptive runs through
+the per-cycle one.
 
 A hypothesis property sweeps random small configurations; pinned
 example cases keep the matrix covered even on --hypothesis-seed reruns.
@@ -25,8 +28,10 @@ from repro.simulator import (
     Simulation,
     SimulationConfig,
     SoACycleEngine,
+    SpanEngine,
     resolve_engine_kind,
 )
+from repro.simulator import span
 from repro.simulator.kernel import c_kernel_available
 from repro.simulator.network import TorusWorkload
 from repro.simulator.soa import resolve_soa_kernel
@@ -63,6 +68,7 @@ def run_traced(cfg: SimulationConfig, engine: str, kernel: str = "auto"):
         w.run()
     c = w.engine.counters
     return {
+        "workload": w,
         "deliveries": deliveries,
         "counters": (c.generated, c.completed, c.flit_moves, c.cycles_run),
         "channel_flits": w.engine.channel_flit_counts.copy(),
@@ -181,6 +187,170 @@ class TestEquivalencePinned:
         assert_identical(a, b, "c vs numpy")
 
 
+def assert_all_match_reference(cfg):
+    """Every SoA kernel matches the reference; returns the traces."""
+    ref = run_traced(cfg, "reference")
+    runs = {k: run_traced(cfg, "soa", k) for k in available_kernels()}
+    for kernel, run in runs.items():
+        assert_identical(ref, run, f"kernel={kernel} cfg={cfg}")
+    return ref, runs
+
+
+class TestSpanPinned:
+    """Span-kernel exits and shapes the property sweep may not reach."""
+
+    BASE = SimulationConfig(
+        k=4, message_length=8, rate=2e-3, hotspot_fraction=0.2,
+        warmup_cycles=200, measure_cycles=3_000, seed=41,
+    )
+
+    def test_backlog_exit(self):
+        cfg = replace(self.BASE, rate=0.05, hotspot_fraction=0.5)
+        ref, _ = assert_all_match_reference(cfg)
+        w = ref["workload"]
+        assert w.backlog_saturated()
+        assert w.engine.counters.cycles_run < cfg.total_cycles
+
+    def test_target_completions_exit(self):
+        cfg = replace(self.BASE, rate=4e-3, target_completions=60)
+        ref, _ = assert_all_match_reference(cfg)
+        assert 60 <= ref["count"] < 70
+        assert ref["counters"][3] < cfg.total_cycles
+
+    def test_warmup_edge_on_idle_network(self):
+        # The network empties on exactly the cycle that reaches the
+        # warmup edge; every engine must take the snapshot there.
+        cfg = SimulationConfig(
+            k=4, message_length=4, rate=2e-3, hotspot_fraction=0.2,
+            warmup_cycles=1_000, measure_cycles=2_000, seed=14,
+        )
+        ref, runs = assert_all_match_reference(cfg)
+        for run in (ref, *runs.values()):
+            w = run["workload"]
+            assert w._cycles_at_warmup == cfg.warmup_cycles
+            assert w.measured_channel_utilization().max() > 0
+
+    def test_single_flit_depth_one_five_vcs(self):
+        cfg = replace(
+            self.BASE, message_length=1, buffer_depth=1, num_vcs=5, rate=2e-2,
+        )
+        assert_all_match_reference(cfg)
+
+    def test_ejection_and_bidirectional(self):
+        cfg = replace(
+            self.BASE, bidirectional=True, model_ejection=True, num_vcs=3,
+            buffer_depth=2, rate=6e-3, hotspot_fraction=0.4,
+        )
+        assert_all_match_reference(cfg)
+
+    def test_in_flight_outgrows_record_table(self):
+        cfg = replace(
+            self.BASE, rate=0.05, hotspot_fraction=0.6,
+            saturation_backlog_factor=16.0,
+        )
+        ref, runs = assert_all_match_reference(cfg)
+        assert ref["workload"].engine.counters.backlog > span._INITIAL_RECORDS
+        if "c" in runs:
+            engine = runs["c"]["workload"].engine
+            assert isinstance(engine, SpanEngine)
+            assert len(engine._rec_msg) > span._INITIAL_RECORDS
+
+
+@pytest.mark.skipif(not c_kernel_available(), reason="no C compiler")
+class TestSpanEngineDirect:
+    """The span engine driven through its engine interface: input checks,
+    and hand-built scenarios for orderings random workloads rarely hit,
+    replayed on the reference engine."""
+
+    def _engine(self, num_sources=2):
+        return SpanEngine(
+            num_channels=4, num_vcs=2, buffer_depth=2, num_sources=num_sources
+        )
+
+    def _message(self, src, channels, msg_id=0, dest=1, length=2, classes=None):
+        from repro.simulator.flit import Message
+
+        return Message(
+            msg_id=msg_id, src=src, dest=dest, length=length, generated_at=0,
+            route_channels=channels,
+            route_classes=classes or [0] * len(channels),
+            is_hot=False,
+        )
+
+    def _replay(self, engine, specs):
+        """Schedule ``specs`` at cycle 0 and step until all are delivered."""
+        log = []
+        engine.on_delivery = lambda msg, cycle: log.append((msg.msg_id, cycle))
+        for i, (src, channels, classes, length) in enumerate(specs):
+            engine.schedule_message(
+                0.0,
+                self._message(src, channels, msg_id=i, dest=100 + i,
+                              length=length, classes=classes),
+            )
+        while len(log) < len(specs):
+            engine.step()
+            assert engine.cycle < 10_000
+        return log
+
+    def _assert_matches_reference(self, specs, num_sources):
+        got = self._replay(self._engine(num_sources), specs)
+        ref = self._replay(
+            CycleEngine(num_channels=4, num_vcs=2, buffer_depth=2), specs
+        )
+        assert got == ref
+
+    def test_source_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="source"):
+            self._engine().schedule_message(0.0, self._message(2, [0]))
+
+    def test_route_off_the_network_rejected(self):
+        with pytest.raises(ValueError, match="leaves the network"):
+            self._engine().schedule_message(0.0, self._message(0, [0, 4]))
+
+    def test_arrival_not_due_rejected(self):
+        with pytest.raises(ValueError, match="not due"):
+            self._engine().schedule_message(1.5, self._message(0, [0]))
+
+    def test_mid_pass_request_joins_the_pass(self):
+        # Source 0's head waits on channel 0 behind a message of source
+        # 1; channel 1 has a class-1 request blocked since cycle 0.  When
+        # channel 0 frees, the injection grant makes source 0's next head
+        # request channel 1 (class 0) mid-pass: channel 1 joins the pass
+        # and grants it in the same cycle.
+        self._assert_matches_reference(
+            [
+                (1, [0], [0], 6),
+                (0, [0], [0], 3),
+                (0, [1], [0], 3),
+                (2, [1], [1], 40),
+                (3, [1], [1], 3),
+            ],
+            num_sources=4,
+        )
+
+    def test_request_added_during_its_channel_visit(self):
+        # A one-flit message leaves channel 0's round-robin cursor on
+        # VC 1.  Source 0's class-0 injection grant then makes its next
+        # head request the same channel in class 1, which the same visit
+        # still serves, so that head moves first.
+        self._assert_matches_reference(
+            [(1, [0], [0], 1), (0, [0], [0], 3), (0, [0], [1], 3)],
+            num_sources=2,
+        )
+
+    def test_burst_outgrows_records_while_admitting(self):
+        # 200 arrivals in one cycle: the record table grows with
+        # admissions still pending, and the deliveries match the
+        # reference engine fed the same messages.
+        specs = [(i % 2, [i % 2, 2 + i % 2], [0, 0], 2) for i in range(200)]
+        engine = self._engine()
+        got = self._replay(engine, specs)
+        assert len(engine._rec_msg) > span._INITIAL_RECORDS
+        ref = CycleEngine(num_channels=4, num_vcs=2, buffer_depth=2)
+        assert got == self._replay(ref, specs)
+        assert engine.counters.flit_moves == ref.counters.flit_moves
+
+
 class TestEngineSelection:
     BASE = SimulationConfig(
         k=4, message_length=4, rate=1e-3, warmup_cycles=0,
@@ -189,9 +359,20 @@ class TestEngineSelection:
 
     def test_default_is_soa(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_SOA_KERNEL", raising=False)
         w = TorusWorkload(self.BASE)
-        assert isinstance(w.engine, SoACycleEngine)
+        assert isinstance(w.engine, (SpanEngine, SoACycleEngine))
         assert w.engine_kind == "soa"
+
+    @pytest.mark.skipif(not c_kernel_available(), reason="no C compiler")
+    def test_routing_picks_span_or_per_cycle_engine(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_SOA_KERNEL", raising=False)
+        assert type(TorusWorkload(self.BASE).engine) is SpanEngine
+        adaptive = replace(self.BASE, routing="adaptive", num_vcs=3)
+        assert type(TorusWorkload(adaptive).engine) is SoACycleEngine
+        monkeypatch.setenv("REPRO_SOA_KERNEL", "numpy")
+        assert type(TorusWorkload(self.BASE).engine) is SoACycleEngine
 
     def test_env_selects_reference(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "reference")
@@ -202,7 +383,7 @@ class TestEngineSelection:
     def test_config_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "reference")
         w = TorusWorkload(replace(self.BASE, engine="soa"))
-        assert isinstance(w.engine, SoACycleEngine)
+        assert isinstance(w.engine, (SpanEngine, SoACycleEngine))
 
     def test_bad_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "turbo")
@@ -262,26 +443,28 @@ class TestEngineSelection:
 
 
 class TestSoAInternals:
-    """The SoA engine keeps the reference engine's public invariants."""
+    """The SoA engines keep the reference engine's public invariants."""
 
     def test_pools_drain_clean(self):
         cfg = SimulationConfig(
             k=4, message_length=6, rate=2e-3, hotspot_fraction=0.3,
             warmup_cycles=0, measure_cycles=3_000, seed=9, engine="soa",
         )
-        w = TorusWorkload(cfg)
-        w.run()
-        w._arrivals.clear()
-        guard = 0
-        while w.engine.messages:
-            w.engine.step()
-            guard += 1
-            assert guard < 100_000
-        for pool in w.engine.pools:
-            assert pool.busy_count == 0
-            assert all(h == -1 for h in pool.holders)
-        assert not np.any(w.engine._busy_cnt)
-        assert not np.any(w.engine._avail[: w.engine._n_slots])
+        for kernel in available_kernels():
+            with _env("REPRO_SOA_KERNEL", kernel):
+                w = TorusWorkload(cfg)
+            w.run()
+            w._arrivals.clear()
+            guard = 0
+            while w.engine.messages:
+                w.engine.step()
+                guard += 1
+                assert guard < 100_000
+            assert not w.engine.held_vcs(), kernel
+            for ch in range(w.engine.num_channels):
+                assert sorted(w.engine.free_vcs(ch)) == list(range(cfg.num_vcs))
+            assert not np.any(w.engine._busy_cnt), kernel
+            assert not np.any(w.engine._avail[: w.engine._n_slots]), kernel
 
     def test_conservation(self):
         cfg = SimulationConfig(

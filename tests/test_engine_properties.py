@@ -61,12 +61,10 @@ class TestEngineInvariants:
         # implies empty source queues and zero backlog.
         assert not w.engine.messages
         assert w.engine.counters.backlog == 0
-        assert not any(w.engine._source_queues.values())
-        for pool in w.engine.pools:
-            assert pool.busy_count == 0
-            assert sorted(
-                v for free in pool.free_by_class for v in free
-            ) == list(range(cfg.num_vcs))
+        assert not w.engine.queued_messages()
+        assert not w.engine.held_vcs()
+        for ch in range(w.engine.num_channels):
+            assert sorted(w.engine.free_vcs(ch)) == list(range(cfg.num_vcs))
 
     @given(cfg=small_configs())
     @settings(max_examples=15, deadline=None)

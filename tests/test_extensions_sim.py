@@ -61,7 +61,7 @@ class TestBidirectional:
             w.engine.step()
             guard += 1
             assert guard < 50_000
-        assert all(p.busy_count == 0 for p in w.engine.pools)
+        assert not w.engine.held_vcs()
 
 
 class TestEjectionModelling:

@@ -27,6 +27,7 @@ from repro.backends import (
 )
 from repro.backends import filequeue as fq
 from repro.backends.worker import FileQueueWorker
+from repro.experiments import sweep as sweep_module
 from repro.experiments.sweep import SweepEngine, _simulate_point, point_seed
 from repro.resilience import ExecutorStats, RetryPolicy
 from repro.simulator.config import SimulationConfig
@@ -280,9 +281,17 @@ class TestCoordinator:
         assert results[("p", 0)] == _simulate_point(cfg)
         assert campaign_leftovers(tmp_path) == []
 
-    def test_speculation_both_copies_finish_first_wins(self, tmp_path):
+    def test_speculation_both_copies_finish_first_wins(self, tmp_path, monkeypatch):
         """A straggler gets a speculative duplicate; both finish; payloads
-        are identical and the campaign consumes exactly one."""
+        are identical and the campaign consumes exactly one.
+
+        The order is fixed, not raced: the fleet worker runs one unit at
+        a time, and the campaign is held open (the slow unit's
+        ``on_result`` waits) until the straggler has published its copy,
+        so the straggler's write can never land after the campaign
+        cleaned up.  The fast unit holds its lease for several
+        coordinator polls: a unit whose claim the coordinator never sees
+        records no duration, and without one nothing is speculated."""
         backend = FileQueueBackend(
             tmp_path,
             lease_timeout=60.0,
@@ -294,9 +303,28 @@ class TestCoordinator:
         cfg_fast = tiny_cfg(rate=0.002, index=0)
         cfg_slow = tiny_cfg(rate=0.01, index=1)
         tasks = {("p", 0): (cfg_fast,), ("p", 1): (cfg_slow,)}
+        straggler_done = threading.Event()
+
+        def on_result(key, value, attempts):
+            if key == ("p", 1):
+                straggler_done.wait(timeout=30.0)
+
+        def held_point(cfg, *args):
+            if cfg == cfg_fast:
+                time.sleep(10 * backend.poll_interval)
+            return _simulate_point(cfg, *args)
+
+        # The worker imports the point function when it runs a unit.
+        monkeypatch.setattr(sweep_module, "_simulate_point", held_point)
+
+        def run_worker(units):
+            wt = threading.Thread(target=worker.run, kwargs={"max_units": units})
+            wt.start()
+            wt.join(timeout=30.0)
+            assert not wt.is_alive()
+
         worker = make_worker(tmp_path, worker_id="fleet")
-        thread, out, stats = self.run_backend(backend, tasks)
-        wt = None
+        thread, out, stats = self.run_backend(backend, tasks, on_result=on_result)
         try:
             # Find the slow unit's queue entry and squat on its lease —
             # the straggling original copy.
@@ -312,24 +340,23 @@ class TestCoordinator:
             uid = fq.read_json(slow_qf)["unit"]
             lease = fq.lease_path_for(slow_qf)
             assert fq.try_claim(lease, {"worker": "straggler", "unit": uid})
-            # Let the fleet worker finish the fast unit (establishing a
-            # duration median) and then claim the speculative copy.
-            wt = threading.Thread(target=worker.run)
-            wt.start()
+            # The fleet worker finishes the fast unit, establishing a
+            # duration median.
+            run_worker(1)
             # Hold the lease (alive, just slow) until the speculative
-            # copy is issued — or until the unit resolves, which means
-            # the spec copy was already claimed, computed and retracted
-            # between our polls (the coordinator breaks our lease then).
+            # copy is issued.
             spec_by = time.time() + 20.0
             spec_qf = fq.queue_dir(tmp_path) / f"{uid}.spec.json"
             while not spec_qf.exists() and time.time() < spec_by:
-                try:
-                    os.utime(lease)
-                except FileNotFoundError:
-                    break  # unit resolved via the speculative copy
+                os.utime(lease)
                 time.sleep(0.05)
+            assert spec_qf.exists()
+            # The fleet worker computes and publishes the speculative
+            # copy, which wins.
+            run_worker(2)
             # The straggler finally finishes too: identical payload by
-            # determinism, atomically renamed over whichever copy won.
+            # determinism, atomically renamed over the winner's result
+            # or written after it was consumed.
             point = _simulate_point(cfg_slow)
             atomic_write_json(
                 fq.results_dir(tmp_path) / f"{uid}.json",
@@ -347,13 +374,11 @@ class TestCoordinator:
                 },
             )
             fq.release_lease(lease, "straggler")
-            thread.join(timeout=30.0)
-            assert not thread.is_alive()
         finally:
+            straggler_done.set()
             worker.request_stop()
-            if wt is not None:
-                wt.join(timeout=10.0)
             thread.join(timeout=30.0)
+        assert not thread.is_alive()
         results, failures = out["result"]
         assert failures == {}
         # Both copies' payloads are the same deterministic point.

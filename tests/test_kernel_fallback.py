@@ -92,7 +92,7 @@ class TestCorruptCacheRecovery:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert kernel_mod.load_c_kernel() is not None
-            assert kernel_mod.load_c_kernel_batch() is not None
+            assert kernel_mod.load_span_kernel() is not None
         quarantined = so_path.with_suffix(".so.corrupt")
         assert quarantined.exists()
         assert quarantined.read_bytes() == b"not an ELF object"

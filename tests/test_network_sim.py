@@ -22,15 +22,28 @@ BASE = SimulationConfig(
 )
 
 
+def assert_conserved(engine):
+    c = engine.counters
+    assert c.generated == c.completed + c.backlog
+    # Admission puts a message in engine.messages *and* in its source
+    # queue, so queued messages are a subset of the backlog, not extra.
+    assert c.backlog == len(engine.messages)
+    for msg in engine.queued_messages():
+        assert engine.messages[msg.msg_id] is msg
+
+
 class TestConservation:
     def test_messages_conserved(self):
         w = TorusWorkload(BASE)
         w.run()
-        c = w.engine.counters
-        assert c.generated == c.completed + c.backlog
-        assert c.backlog == len(w.engine.messages) + sum(
-            len(q) for q in w.engine._source_queues.values()
-        )
+        assert_conserved(w.engine)
+
+    def test_messages_conserved_when_saturated(self):
+        w = TorusWorkload(replace(BASE, rate=0.2))
+        w.run()
+        assert w.backlog_saturated()
+        assert w.engine.queued_messages()
+        assert_conserved(w.engine)
 
     def test_flit_moves_equal_length_times_hops(self):
         """Every completed message moved exactly length*hops flits, so
@@ -57,8 +70,7 @@ class TestConservation:
             w.engine.step()
             guard += 1
             assert guard < 50_000
-        for pool in w.engine.pools:
-            assert pool.busy_count == 0
+        assert not w.engine.held_vcs()
 
 
 class TestStatisticsSanity:
@@ -99,6 +111,20 @@ class TestStatisticsSanity:
         a = Simulation(BASE).run()
         b = Simulation(replace(BASE, seed=12)).run()
         assert a.mean_latency != b.mean_latency
+
+    def test_warmup_snapshot_when_idle_at_the_edge(self):
+        # The network empties on exactly the cycle that reaches the
+        # warmup edge: the idle jump must stop there so the utilisation
+        # window starts at warmup, not at the end of the run.
+        cfg = SimulationConfig(
+            k=4, message_length=4, rate=2e-3, hotspot_fraction=0.2,
+            warmup_cycles=1_000, measure_cycles=2_000, seed=14,
+        )
+        sim = Simulation(cfg)
+        res = sim.run()
+        assert res.num_completed == 60
+        assert sim.workload._cycles_at_warmup == cfg.warmup_cycles
+        assert res.max_channel_utilization == pytest.approx(0.028, abs=5e-4)
 
     def test_zero_rate(self):
         res = Simulation(replace(BASE, rate=0.0)).run()
