@@ -15,6 +15,7 @@ import pytest
 
 from repro import bench
 from repro.core.uniform import UniformLatencyModel
+from repro.simulator import kernel
 from repro.simulator.router import RouteTable
 from repro.topology import KAryNCube
 
@@ -59,17 +60,22 @@ def test_simulator_cycle_rate(benchmark):
 
 
 @pytest.mark.benchmark(group="speed")
-def test_reference_engine_cycle_rate(benchmark):
-    """The correctness oracle's throughput, tracked alongside the SoA
-    engine so the recorded speedup ratio stays honest.  Same window as
-    test_simulator_cycle_rate: per-run fixed costs amortize equally."""
-    cfg = bench.bench_sim_config(engine="reference")
+def test_reference_engine_cycle_rate(benchmark, monkeypatch):
+    """The reference engine's throughput — the correctness oracle, and
+    what a host without a C compiler runs — tracked alongside the
+    compiled engines so the recorded speedup ratio stays honest.  Same
+    window as test_simulator_cycle_rate: per-run fixed costs amortize
+    equally.  Hiding the loaded kernel takes the compiler-less path."""
+    monkeypatch.setattr(kernel, "_loaded", None)
+    monkeypatch.setattr(kernel, "_load_attempted", True)
+    cfg = bench.bench_sim_config()
 
     run = benchmark.pedantic(
         lambda: bench.run_sim_once(cfg), rounds=3, iterations=1
     )
     stats = bench.throughput_stats(run, benchmark.stats["mean"])
     benchmark.extra_info["cycles_per_second"] = stats["cycles_per_sec"]
+    assert run.engine == "reference"
     assert run.completed > 0
 
 

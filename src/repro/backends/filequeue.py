@@ -93,8 +93,9 @@ __all__ = [
 ]
 
 #: Bump when the on-disk campaign protocol changes incompatibly.  Version
-#: 2 carries one ``config`` per unit body and one ``point`` per result.
-PROTOCOL_VERSION = 2
+#: 2 carries one ``config`` per unit body and one ``point`` per result;
+#: version 3 drops the ``engine`` field from that ``config``.
+PROTOCOL_VERSION = 3
 
 #: Grace before an *undecodable* lease is quarantined: its writer may be
 #: mid-write right now (the O_EXCL create and the payload write are two

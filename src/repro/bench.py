@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.model import HotSpotLatencyModel
-from repro.simulator import Simulation, SimulationConfig
+from repro.simulator import CycleEngine, Simulation, SimulationConfig
 
 __all__ = [
     "MAX_SLOWDOWN",
@@ -60,9 +60,7 @@ MAX_SLOWDOWN = 2.0
 _MODEL_EVALS = 25
 
 
-def bench_sim_config(
-    quick: bool = False, engine: str = "auto"
-) -> SimulationConfig:
+def bench_sim_config(quick: bool = False) -> SimulationConfig:
     """The standard speed-benchmark simulation.
 
     Moderate hot-spot load on the paper's 16x16 torus — the same
@@ -78,7 +76,6 @@ def bench_sim_config(
         warmup_cycles=0,
         measure_cycles=4_000 if quick else 20_000,
         seed=99,
-        engine=engine,
     )
 
 
@@ -114,16 +111,22 @@ class SimRun:
 
 
 def run_sim_once(cfg: SimulationConfig) -> SimRun:
-    """Run one simulation and return its work counters."""
+    """Run one simulation and return its work counters.
+
+    ``engine`` names the engine that ran: ``"reference"`` for
+    :class:`~repro.simulator.engine.CycleEngine` (a host where the C
+    kernel does not load), ``"soa"`` for the compiled engines.
+    """
     sim = Simulation(cfg)
     result = sim.run()
     engine = sim.workload.engine
+    compiled = type(engine) is not CycleEngine
     return SimRun(
         cycles_run=result.cycles_run,
         flit_moves=engine.counters.flit_moves,
         completed=result.num_completed,
-        engine=sim.workload.engine_kind,
-        kernel=getattr(engine, "kernel_name", "python"),
+        engine="soa" if compiled else "reference",
+        kernel=engine.kernel_name if compiled else "python",
     )
 
 
@@ -140,11 +143,10 @@ def measure_simulator(
     *,
     rounds: int = 3,
     quick: bool = False,
-    engine: str = "auto",
 ) -> Dict[str, object]:
     """Best-of-``rounds`` simulator throughput on the benchmark config."""
     if cfg is None:
-        cfg = bench_sim_config(quick=quick, engine=engine)
+        cfg = bench_sim_config(quick=quick)
     best = float("inf")
     run: Optional[SimRun] = None
     for _ in range(max(1, rounds)):
@@ -300,11 +302,9 @@ def git_rev() -> str:
         return "unknown"
 
 
-def build_report(
-    *, quick: bool = False, rounds: int = 3, engine: str = "auto"
-) -> Dict[str, object]:
+def build_report(*, quick: bool = False, rounds: int = 3) -> Dict[str, object]:
     """Measure everything and assemble one ``BENCH_*.json`` payload."""
-    cfg = bench_sim_config(quick=quick, engine=engine)
+    cfg = bench_sim_config(quick=quick)
     return {
         "schema": 1,
         "kind": "repro-bench",

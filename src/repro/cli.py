@@ -127,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--ejection", action="store_true", help="model a real ejection channel"
     )
-    p_sim.add_argument(
-        "--engine",
-        choices=["auto", "soa", "reference"],
-        default="auto",
-        help="cycle engine (auto follows $REPRO_ENGINE, default soa)",
-    )
 
     def _add_sweep_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -225,12 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rounds", type=_positive_int, default=3, help="timing rounds (best-of)"
     )
     p_bench.add_argument(
-        "--engine",
-        choices=["auto", "soa", "reference"],
-        default="auto",
-        help="cycle engine to benchmark (auto follows $REPRO_ENGINE)",
-    )
-    p_bench.add_argument(
         "--output",
         metavar="PATH",
         default=None,
@@ -313,7 +301,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         measure_cycles=args.cycles,
         seed=args.seed,
         model_ejection=args.ejection,
-        engine=args.engine,
     )
     res = Simulation(cfg).run()
     print(f"completed {res.num_completed} messages over {res.cycles_run} cycles")
@@ -419,9 +406,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro import bench
 
-    report = bench.build_report(
-        quick=args.quick, rounds=args.rounds, engine=args.engine
-    )
+    report = bench.build_report(quick=args.quick, rounds=args.rounds)
     sim = report["simulator"]
     model = report["model"]
     window = "quick" if args.quick else "full"

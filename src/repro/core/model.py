@@ -28,7 +28,7 @@ Model kernels
 -------------
 Two interchangeable implementations of the hot path exist, selected by
 the ``kernel`` constructor argument / the ``REPRO_MODEL_KERNEL``
-environment variable (mirroring the simulator's ``REPRO_ENGINE``):
+environment variable:
 
 ``vector`` (default)
     Array-native: the per-iteration blocking grids, service-time

@@ -25,22 +25,21 @@ class 1 when it crosses a ring's wrap-around channel
 Public front-end: :class:`~repro.simulator.sim.Simulation` with
 :class:`~repro.simulator.config.SimulationConfig`.
 
-Three engines produce bit-identical simulations; which one runs is
+Three engines produce bit-identical simulations; which one runs follows
+from the routing mode and from whether the C kernel loads, and is
 decided per run by :class:`~repro.simulator.network.TorusWorkload`:
 
-* :class:`~repro.simulator.span.SpanEngine` — deterministic routing
-  whenever the C kernel compiles: one C call runs a whole span of
-  cycles between arrivals (admission, FCFS VC allocation, link
-  arbitration, header/tail events, delivery);
-* :class:`~repro.simulator.soa.SoACycleEngine` — the per-cycle
-  structure-of-arrays engine, for adaptive routing and for hosts without
-  a C compiler (or ``REPRO_SOA_KERNEL=numpy``);
+* :class:`~repro.simulator.span.SpanEngine` — deterministic routing:
+  one C call runs a whole span of cycles between arrivals (admission,
+  FCFS VC allocation, link arbitration, header/tail events, delivery);
+* :class:`~repro.simulator.soa.SoACycleEngine` — adaptive routing: the
+  per-cycle structure-of-arrays engine with the link phase in C;
 * :class:`~repro.simulator.engine.CycleEngine` — the object-per-message
-  reference engine the equivalence tests compare against
-  (``config.engine="reference"`` / ``REPRO_ENGINE=reference``).
+  reference engine: both routing modes on a host where the C kernel
+  does not load, and the oracle the equivalence tests compare against.
 """
 
-from repro.simulator.config import SimulationConfig, resolve_engine_kind
+from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import CycleEngine
 from repro.simulator.sim import Simulation, SimulationResult
 from repro.simulator.soa import SoACycleEngine
@@ -56,5 +55,4 @@ __all__ = [
     "CycleEngine",
     "SoACycleEngine",
     "SpanEngine",
-    "resolve_engine_kind",
 ]

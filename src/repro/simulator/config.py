@@ -2,51 +2,10 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
-__all__ = ["SimulationConfig", "normalize_engine_kind", "resolve_engine_kind"]
-
-
-def normalize_engine_kind(engine: str) -> str:
-    """Canonicalise an engine selector (strip/lowercase, '' -> 'auto').
-
-    The *same* normalisation is applied to the ``engine=`` argument and
-    to ``$REPRO_ENGINE``, so ``SimulationConfig(engine="SOA")`` and
-    ``REPRO_ENGINE=SOA`` select identically.  Raises a
-    :class:`ValueError` on anything other than ``auto``/``soa``/
-    ``reference``.
-    """
-    raw = str(engine).strip().lower() or "auto"
-    if raw not in ("auto", "soa", "reference"):
-        raise ValueError(
-            f"engine must be 'auto', 'soa' or 'reference', got {engine!r}"
-        )
-    return raw
-
-
-def resolve_engine_kind(engine: str = "auto") -> str:
-    """Resolve an engine selector to ``"soa"`` or ``"reference"``.
-
-    The argument is normalised exactly like ``$REPRO_ENGINE`` (case-
-    and whitespace-insensitive); ``"auto"`` defers to the environment
-    variable and defaults to the structure-of-arrays engine.  Both
-    engines produce bit-identical simulations, so the choice only
-    affects speed.  Raises a :class:`ValueError` naming
-    ``REPRO_ENGINE`` on bad environment input.
-    """
-    kind = normalize_engine_kind(engine)
-    if kind in ("soa", "reference"):
-        return kind
-    raw = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    if raw in ("", "auto", "soa"):
-        return "soa"
-    if raw == "reference":
-        return "reference"
-    raise ValueError(
-        f"REPRO_ENGINE must be 'soa' or 'reference', got {raw!r}"
-    )
+__all__ = ["SimulationConfig"]
 
 
 @dataclass(frozen=True)
@@ -55,7 +14,10 @@ class SimulationConfig:
 
     Network / workload parameters mirror the analytical model; the run
     control parameters govern warmup, measurement length and saturation
-    detection.
+    detection.  The cycle engine is not a parameter:
+    :class:`~repro.simulator.network.TorusWorkload` picks it from
+    ``routing`` and from whether the C kernel loads, and every engine
+    gives the same result, so one configuration has one store key.
 
     Attributes
     ----------
@@ -114,12 +76,6 @@ class SimulationConfig:
         After measurement, the run is flagged saturated when fewer than
         this fraction of the messages generated during the measurement
         window completed in it (completion deficit = growing queues).
-    engine:
-        Cycle-engine implementation: ``"soa"`` (structure-of-arrays hot
-        path, the fast default), ``"reference"`` (the original
-        object-per-message engine, kept as the correctness oracle) or
-        ``"auto"`` (default) which follows ``$REPRO_ENGINE`` and falls
-        back to ``"soa"``.  Both produce bit-identical results.
     """
 
     k: int
@@ -139,7 +95,6 @@ class SimulationConfig:
     model_ejection: bool = False
     saturation_backlog_factor: float = 8.0
     min_drain_ratio: float = 0.85
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -193,10 +148,6 @@ class SimulationConfig:
             raise ValueError(
                 f"min_drain_ratio must be in (0, 1], got {self.min_drain_ratio}"
             )
-        # Store the canonical selector so equality, hashing and cache
-        # keys do not distinguish "SOA" from "soa" (frozen dataclass:
-        # write through object.__setattr__).
-        object.__setattr__(self, "engine", normalize_engine_kind(self.engine))
         if self.hotspot_node is not None:
             if len(self.hotspot_node) != self.n:
                 raise ValueError(

@@ -154,11 +154,6 @@ class CycleEngine:
         )
         self._arrival_seq += 1
 
-    def next_arrival_cycle(self) -> Optional[int]:
-        if not self._arrival_heap:
-            return None
-        return int(self._arrival_heap[0][0])
-
     def _admit_arrivals(self) -> None:
         limit = self.cycle + 1
         heap = self._arrival_heap
@@ -500,11 +495,3 @@ class CycleEngine:
         self.counters.cycles_run += cycle - self.cycle
         self.cycle = cycle
         self._last_progress_cycle = cycle
-
-    def fast_forward_if_idle(self) -> None:
-        """Jump the clock to the next scheduled arrival when empty."""
-        if self.messages or self._source_queues:
-            return
-        nxt = self.next_arrival_cycle()
-        if nxt is not None:
-            self.fast_forward_to(nxt)

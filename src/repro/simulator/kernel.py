@@ -34,12 +34,10 @@ kernels``) and loaded through :mod:`ctypes`.  A cached shared object
 that fails to load (a worker killed mid-write, a truncated artifact
 from an interrupted run) is *quarantined* — renamed to ``*.corrupt``,
 mirroring the sweep cache's ``corrupt/`` convention — and compilation
-is retried once before degrading; the per-cycle engine's pure-``numpy``
-link phase, with the identical integer semantics, takes over when no
-compiler is available or when ``REPRO_SOA_KERNEL=numpy`` forces it.
-
-All implementations produce bit-identical simulations (all state is
-integer).
+is retried once before degrading.  When the kernel does not load, every
+run falls back to the reference
+:class:`~repro.simulator.engine.CycleEngine`, which produces the same
+simulation (all state is integer), only slower.
 """
 
 from __future__ import annotations
@@ -613,10 +611,10 @@ def _load() -> Optional[Tuple[object, object]]:
     """Compile (if needed) and load both kernels, once per process.
 
     Any failure — no compiler, sandboxed filesystem, unloadable object —
-    degrades to ``None`` and the engines fall back to their numpy
-    kernels, with a once-per-process :class:`RuntimeWarning` naming the
+    degrades to ``None`` and every run falls back to the reference
+    engine, with a once-per-process :class:`RuntimeWarning` naming the
     actual failure so a missing compiler shows up as a warning instead
-    of silently masquerading as a ~4x performance regression.
+    of silently masquerading as a ~5x performance regression.
 
     A cached ``.so`` that exists but will not load (truncated by a
     killed worker, stale from an interrupted run) is quarantined as
@@ -672,12 +670,11 @@ def load_span_kernel() -> Optional[object]:
 
 
 def _warn_kernel_fallback(reason: str) -> None:
-    """One warning per process when the C kernels degrade to numpy."""
+    """One warning per process when the C kernels do not load."""
     warnings.warn(
         f"repro: SoA C kernel unavailable ({reason}); falling back to the "
-        "slower pure-numpy kernel.  Install a C compiler (or set CC) to "
-        "restore full speed, or set REPRO_SOA_KERNEL=numpy to silence "
-        "this warning.",
+        "slower reference engine (CycleEngine).  Install a C compiler (or "
+        "set CC) to restore full speed.",
         RuntimeWarning,
         stacklevel=3,
     )

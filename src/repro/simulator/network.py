@@ -11,14 +11,14 @@ a spawned child RNG) rather than one ``next_gap`` call per message;
 destination draws stay on the workload RNG in admission order, so a run
 is fully determined by ``config.seed`` for any engine and job count.
 
-The engine follows ``config.engine`` / ``$REPRO_ENGINE`` and the
-routing mode: deterministic routing runs on the whole-span C kernel
-(:class:`~repro.simulator.span.SpanEngine`) whenever it compiles;
-adaptive routing, and any run without a compiler or under
-``REPRO_SOA_KERNEL=numpy``, on the per-cycle structure-of-arrays engine
-(:class:`~repro.simulator.soa.SoACycleEngine`); ``engine="reference"``
-selects the object engine (:class:`~repro.simulator.engine.CycleEngine`).
-All three are bit-identical in output and driven by the one loop in
+The engine follows from the routing mode and from whether the C kernel
+loads, and nothing else: deterministic routing runs on the whole-span
+kernel (:class:`~repro.simulator.span.SpanEngine`), adaptive routing on
+the per-cycle structure-of-arrays engine with the C link phase
+(:class:`~repro.simulator.soa.SoACycleEngine`), and a host where the
+kernel does not load runs both on the object engine
+(:class:`~repro.simulator.engine.CycleEngine`).  All three are
+bit-identical in output and driven by the one loop in
 :meth:`TorusWorkload.run`.
 """
 
@@ -29,11 +29,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.simulator.config import SimulationConfig, resolve_engine_kind
+from repro.simulator.config import SimulationConfig
 from repro.traffic.burst import ArrivalModel, ExponentialArrivals
 from repro.simulator.engine import CycleEngine
 from repro.simulator.flit import Message
-from repro.simulator.soa import SoACycleEngine, resolve_soa_kernel
+from repro.simulator.kernel import c_kernel_available
+from repro.simulator.soa import SoACycleEngine
 from repro.simulator.span import SpanEngine
 from repro.simulator.router import RouteTable
 from repro.simulator.stats import BatchMeans, LatencyStats
@@ -119,28 +120,24 @@ class TorusWorkload:
             self.network.num_nodes if config.model_ejection else 0
         )
         adaptive = config.routing == "adaptive"
-        self.engine_kind = resolve_engine_kind(config.engine)
         shape = dict(
             num_channels=total_channels,
             num_vcs=config.num_vcs,
             buffer_depth=config.buffer_depth,
             on_delivery=self._on_delivery,
         )
-        if (
-            self.engine_kind == "soa"
-            and not adaptive
-            and resolve_soa_kernel() == "c"
-        ):
-            self.engine = SpanEngine(num_sources=self.network.num_nodes, **shape)
-        else:
-            engine_cls = (
-                CycleEngine if self.engine_kind == "reference" else SoACycleEngine
-            )
-            self.engine = engine_cls(
+        if not c_kernel_available():
+            self.engine = CycleEngine(
                 next_hop_chooser=self._choose_next_hop if adaptive else None,
                 adaptive=adaptive,
                 **shape,
             )
+        elif adaptive:
+            self.engine = SoACycleEngine(
+                next_hop_chooser=self._choose_next_hop, **shape
+            )
+        else:
+            self.engine = SpanEngine(num_sources=self.network.num_nodes, **shape)
         self._msg_seq = 0
         # Lazy arrival generation: one pending arrival per source, with
         # gaps pre-drawn in blocks from a per-source child RNG.

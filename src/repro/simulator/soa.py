@@ -1,15 +1,16 @@
-"""Per-cycle structure-of-arrays engine: adaptive routing and fallback.
+"""Per-cycle structure-of-arrays engine for adaptive routing.
 
 :class:`SoACycleEngine` runs the same four-phase wormhole simulation as
-the reference :class:`~repro.simulator.engine.CycleEngine`, one Python
-``step`` per cycle, but the link phase — per-cycle readiness checks and
-flit moves — operates on flat preallocated ``numpy`` int32 arrays
-instead of per-message ``Message`` objects and per-pool Python lists.
-Deterministic runs use the whole-span engine
-(:class:`~repro.simulator.span.SpanEngine`) when the C kernel compiles;
-this engine serves adaptive routing, whose next hops are chosen in
-Python, and every run on a host without a C compiler or under
-``REPRO_SOA_KERNEL=numpy``.  All arrays are indexed by *slot*
+the reference :class:`~repro.simulator.engine.CycleEngine` in adaptive
+mode, one Python ``step`` per cycle, but the link phase — per-cycle
+readiness checks and flit moves — runs in C on flat preallocated
+``numpy`` int32 arrays instead of per-message ``Message`` objects and
+per-pool Python lists.  Deterministic runs use the whole-span engine
+(:class:`~repro.simulator.span.SpanEngine`); this engine serves
+adaptive routing, where every message's next hop is chosen in Python as
+its header reaches each router.  Like the span engine it needs the
+compiled kernel; without it both routing modes run on the reference
+engine.  All arrays are indexed by *slot*
 (``channel * num_vcs + vc``), one slot per virtual channel:
 
 ``avail``
@@ -35,12 +36,11 @@ Python, and every run on a host without a C compiler or under
     downstream and returns one credit upstream through these links, so
     per-message ``crossed`` vectors are never touched per cycle.
 
-The link phase is one scan-then-apply sweep over these arrays — the
-per-cycle C kernel from :mod:`repro.simulator.kernel` when a compiler is
-available (set ``REPRO_SOA_KERNEL=numpy`` to force the pure-numpy
-fallback, ``c`` to require the C kernel).  ``Message`` objects are only consulted at
-injection, header-arrival, tail-departure and delivery boundaries,
-which occur twice per hop per message rather than once per flit.
+The link phase is one scan-then-apply sweep over these arrays, the
+per-cycle ``repro_soa_cycle`` kernel of :mod:`repro.simulator.kernel`.
+``Message`` objects are only consulted at injection, header-arrival,
+tail-departure and delivery boundaries, which occur twice per hop per
+message rather than once per flit.
 
 Arrival admission, FCFS virtual-channel allocation and adaptive
 rerouting are inherited from the reference engine unchanged (the pools
@@ -54,8 +54,7 @@ asserts over randomised configurations.
 from __future__ import annotations
 
 import ctypes
-import os
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -63,61 +62,26 @@ from repro.simulator.engine import CycleEngine, NextHopChooser
 from repro.simulator.flit import Message
 from repro.simulator.kernel import load_c_kernel
 
-__all__ = ["SoACycleEngine", "resolve_soa_kernel"]
+__all__ = ["SoACycleEngine"]
 
 # Added to head_room once a hop is known to be final: the downstream
 # depth check must never block ejection.  Far larger than any message
 # length, far smaller than int32 overflow headroom.
 _FINAL_BONUS = 1 << 28
 
-_EMPTY_EVENTS = np.empty(0, dtype=np.int32)
-
-
-def resolve_soa_kernel(kernel: str = "auto") -> str:
-    """Which SoA kernel to use: ``"c"`` or ``"numpy"``.
-
-    The ``kernel`` argument and ``$REPRO_SOA_KERNEL`` are normalised
-    identically (case- and whitespace-insensitive, empty means
-    ``auto``); a non-``auto`` argument wins, ``auto`` defers to the
-    environment variable.  Raises a :class:`ValueError` naming the
-    offending source on bad input, or a :class:`RuntimeError` when
-    ``c`` is forced but unavailable.
-    """
-    raw = str(kernel).strip().lower() or "auto"
-    if raw not in ("auto", "c", "numpy"):
-        raise ValueError(
-            f"kernel must be 'auto', 'c' or 'numpy', got {kernel!r}"
-        )
-    if raw == "auto":
-        raw = (
-            os.environ.get("REPRO_SOA_KERNEL", "auto").strip().lower()
-            or "auto"
-        )
-        if raw not in ("auto", "c", "numpy"):
-            raise ValueError(
-                f"REPRO_SOA_KERNEL must be 'auto', 'c' or 'numpy', got {raw!r}"
-            )
-    if raw == "numpy":
-        return "numpy"
-    if load_c_kernel() is not None:
-        return "c"
-    if raw == "c":
-        raise RuntimeError(
-            "the C kernel was forced (REPRO_SOA_KERNEL=c or kernel='c') "
-            "but could not be compiled (no C compiler on PATH?)"
-        )
-    return "numpy"
-
 
 class SoACycleEngine(CycleEngine):
-    """Structure-of-arrays engine, bit-identical to the reference.
+    """Adaptive-routing engine, bit-identical to the reference.
 
-    Accepts the same constructor arguments as
-    :class:`~repro.simulator.engine.CycleEngine` and exposes the same
-    public surface (``counters``, ``messages``, ``pools``,
-    ``channel_flit_counts``, ``step`` ...); only the per-cycle hot path
-    differs.  :attr:`kernel_name` reports which kernel drives it.
+    Takes the constructor arguments of
+    :class:`~repro.simulator.engine.CycleEngine` in adaptive mode (the
+    next-hop chooser is required) and exposes the same public surface
+    (``counters``, ``messages``, ``pools``, ``channel_flit_counts``,
+    ``step`` ...); only the per-cycle hot path differs.  Raises a
+    :class:`RuntimeError` when the C kernel is unavailable.
     """
+
+    kernel_name = "c"
 
     def __init__(
         self,
@@ -126,7 +90,6 @@ class SoACycleEngine(CycleEngine):
         buffer_depth: int,
         on_delivery: Optional[Callable[[Message, int], None]] = None,
         next_hop_chooser: Optional["NextHopChooser"] = None,
-        adaptive: bool = False,
     ) -> None:
         super().__init__(
             num_channels,
@@ -134,8 +97,11 @@ class SoACycleEngine(CycleEngine):
             buffer_depth,
             on_delivery=on_delivery,
             next_hop_chooser=next_hop_chooser,
-            adaptive=adaptive,
+            adaptive=True,
         )
+        self._c_fn = load_c_kernel()
+        if self._c_fn is None:
+            raise RuntimeError("the per-cycle SoA engine needs the compiled C kernel")
         n_slots = num_channels * num_vcs
         self._n_slots = n_slots
         # Slot state; one sentinel entry at index n_slots absorbs the
@@ -150,42 +116,33 @@ class SoACycleEngine(CycleEngine):
         self._busy_cnt = np.zeros(num_channels, dtype=np.int32)
         self._slot_msg: List[Optional[Message]] = [None] * n_slots
         self._slot_hop: List[int] = [-1] * n_slots
-        # Persistent views/scratch so the per-cycle path allocates nothing.
-        self._avail_v = self._avail[:n_slots]
-        self._head_v = self._head_room[:n_slots]
-        self._best = np.empty(num_channels, dtype=np.int32)
-        self._vcsel = np.empty(num_channels, dtype=np.int32)
+        # Kernel scratch, so the per-cycle path allocates nothing.
         self._win_scratch = np.empty(num_channels, dtype=np.int32)
         self._evt_scratch = np.empty(num_channels, dtype=np.int32)
         self._nev_out = np.zeros(1, dtype=np.int32)
-        self.kernel_name = resolve_soa_kernel()
-        self._c_fn = load_c_kernel() if self.kernel_name == "c" else None
-        if self._c_fn is not None:
-            # One context block holding scalars + raw array addresses;
-            # the backing arrays are instance attributes, so the
-            # addresses stay valid for the engine's lifetime.
-            self._ctx = np.array(
-                [
-                    num_channels,
-                    num_vcs,
-                    self._busy_cnt.ctypes.data,
-                    self._rr.ctypes.data,
-                    self._avail.ctypes.data,
-                    self._head_room.ctypes.data,
-                    self._moved.ctypes.data,
-                    self._nxt_evt.ctypes.data,
-                    self._nxt_idx.ctypes.data,
-                    self._prv_idx.ctypes.data,
-                    self.channel_flit_counts.ctypes.data,
-                    self._win_scratch.ctypes.data,
-                    self._evt_scratch.ctypes.data,
-                    self._nev_out.ctypes.data,
-                ],
-                dtype=np.uint64,
-            )
-            self._ctx_ptr = self._ctx.ctypes.data_as(
-                ctypes.POINTER(ctypes.c_uint64)
-            )
+        # One context block holding scalars + raw array addresses; the
+        # backing arrays are instance attributes, so the addresses stay
+        # valid for the engine's lifetime.
+        self._ctx = np.array(
+            [
+                num_channels,
+                num_vcs,
+                self._busy_cnt.ctypes.data,
+                self._rr.ctypes.data,
+                self._avail.ctypes.data,
+                self._head_room.ctypes.data,
+                self._moved.ctypes.data,
+                self._nxt_evt.ctypes.data,
+                self._nxt_idx.ctypes.data,
+                self._prv_idx.ctypes.data,
+                self.channel_flit_counts.ctypes.data,
+                self._win_scratch.ctypes.data,
+                self._evt_scratch.ctypes.data,
+                self._nev_out.ctypes.data,
+            ],
+            dtype=np.uint64,
+        )
+        self._ctx_ptr = self._ctx.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64))
 
     # ------------------------------------------------------------------
     # Boundary bookkeeping (grants, releases, header/tail events)
@@ -212,10 +169,9 @@ class SoACycleEngine(CycleEngine):
             self._avail[slot] = self._moved[prev_slot]
             self._prv_idx[slot] = prev_slot
             self._nxt_idx[prev_slot] = slot
-        room = self.buffer_depth
-        if hop == msg.final_hop:
-            room += _FINAL_BONUS
-        self._head_room[slot] = room
+        # A dynamic route learns its final hop at header arrival
+        # (_process_boundary), never at a grant.
+        self._head_room[slot] = self.buffer_depth
         self._busy_cnt[ch] += 1
         if hop == 0:
             self._on_injection_start(msg)
@@ -246,26 +202,15 @@ class SoACycleEngine(CycleEngine):
         moved = int(self._moved[slot])
         if moved == 1:
             # Header reached the next router (mirrors the reference
-            # engine's _apply_moves header branch).
-            if msg.dynamic:
-                choice = self.next_hop_chooser(msg, hop + 1)
-                if choice is None:
-                    msg.final_hop = hop
-                    self._head_room[slot] += _FINAL_BONUS
-                else:
-                    nxt_ch, cls, impatient = choice
-                    msg.extend_route(nxt_ch, cls)
-                    self.pools[nxt_ch].request(
-                        msg.msg_id, hop + 1, cls, impatient
-                    )
-                    self._pending_channels.add(nxt_ch)
-                    self._alloc_candidates.add(nxt_ch)
-                    self._alloc_dirty = True
-            elif hop + 1 < msg.num_hops:
-                nxt_ch = msg.route_channels[hop + 1]
-                self.pools[nxt_ch].request(
-                    msg.msg_id, hop + 1, msg.route_classes[hop + 1]
-                )
+            # engine's _apply_moves header branch for dynamic routes).
+            choice = self.next_hop_chooser(msg, hop + 1)
+            if choice is None:
+                msg.final_hop = hop
+                self._head_room[slot] += _FINAL_BONUS
+            else:
+                nxt_ch, cls, impatient = choice
+                msg.extend_route(nxt_ch, cls)
+                self.pools[nxt_ch].request(msg.msg_id, hop + 1, cls, impatient)
                 self._pending_channels.add(nxt_ch)
                 self._alloc_candidates.add(nxt_ch)
                 self._alloc_dirty = True
@@ -281,56 +226,6 @@ class SoACycleEngine(CycleEngine):
                 self._complete(msg)
 
     # ------------------------------------------------------------------
-    # The per-cycle kernels
-    # ------------------------------------------------------------------
-    def _cycle_numpy(self) -> Tuple[int, np.ndarray]:
-        """Pure-numpy scan + apply (same integer semantics as the C kernel)."""
-        num_vcs = self.num_vcs
-        avail = self._avail
-        head = self._head_room
-        ready = (self._avail_v > 0) & (self._head_v > 0)
-        rdy = ready.reshape(self.num_channels, num_vcs)
-        rr = self._rr
-        if num_vcs == 2:
-            # Two VCs need no priority search: the cursor only matters
-            # when both are ready.
-            r0 = rdy[:, 0]
-            r1 = rdy[:, 1]
-            wch = np.flatnonzero(r0 | r1)
-            if wch.size == 0:
-                return 0, _EMPTY_EVENTS
-            wvc = np.where(r0 & r1, rr, r1)[wch]
-        else:
-            best = self._best
-            best[:] = num_vcs
-            vcsel = self._vcsel
-            vcsel[:] = 0
-            for v in range(num_vcs):
-                rel = (v - rr) % num_vcs
-                pri = np.where(rdy[:, v], rel, num_vcs)
-                upd = pri < best
-                vcsel[upd] = v
-                best[upd] = pri[upd]
-            wch = np.flatnonzero(best < num_vcs)
-            if wch.size == 0:
-                return 0, _EMPTY_EVENTS
-            wvc = vcsel[wch]
-        wf = wch * num_vcs + wvc
-        rr[wch] = (wvc + 1) % num_vcs
-        mv = self._moved[wf] + 1
-        self._moved[wf] = mv
-        avail[wf] = avail[wf] - 1
-        head[wf] = head[wf] - 1
-        # Winner slots are unique, and so are their live neighbours; the
-        # sentinel absorbs repeated no-neighbour updates harmlessly.
-        nxt = self._nxt_idx[wf]
-        avail[nxt] = avail[nxt] + 1
-        prv = self._prv_idx[wf]
-        head[prv] = head[prv] + 1
-        self.channel_flit_counts[wch] += 1
-        return int(wf.size), wf[mv == self._nxt_evt[wf]]
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def step(self) -> int:
@@ -340,21 +235,15 @@ class SoACycleEngine(CycleEngine):
             self._reroute_cancelled()
         if self._alloc_dirty and self._pending_channels:
             self._allocate_vcs()
-        fn = self._c_fn
         if not self.messages:
             moves = 0
-        elif fn is not None:
-            moves = int(fn(self._ctx_ptr))
+        else:
+            moves = int(self._c_fn(self._ctx_ptr))
             nev = int(self._nev_out[0])
             if nev:
                 events = self._evt_scratch
                 for i in range(nev):
                     self._process_boundary(int(events[i]))
-        else:
-            moves, events = self._cycle_numpy()
-            if events.size:
-                for slot in events.tolist():
-                    self._process_boundary(slot)
         if moves:
             self.counters.flit_moves += moves
             self._last_progress_cycle = self.cycle

@@ -1,11 +1,11 @@
-"""Traffic patterns, source processes and analytical channel rates.
+"""Traffic patterns, arrival processes and analytical channel rates.
 
 * :mod:`~repro.traffic.patterns` — destination distributions: the
   Pfister–Norton hot-spot pattern used by the paper (assumption ii),
   plus uniform and several classic permutation patterns used by the
   extended examples.
-* :mod:`~repro.traffic.generators` — Poisson message sources
-  (assumption i) and message factories for the simulator.
+* :mod:`~repro.traffic.burst` — per-source arrival processes: the
+  paper's Poisson sources (assumption i) and the bursty alternatives.
 * :mod:`~repro.traffic.rates` — closed-form channel traffic rates of the
   analytical model (eqs 1-9).
 """
@@ -18,7 +18,6 @@ from repro.traffic.patterns import (
     TransposePattern,
     UniformPattern,
 )
-from repro.traffic.generators import MessageSource, PoissonProcess
 from repro.traffic.burst import (
     ArrivalModel,
     ExponentialArrivals,
@@ -34,8 +33,6 @@ __all__ = [
     "TransposePattern",
     "BitReversalPattern",
     "MatrixPattern",
-    "MessageSource",
-    "PoissonProcess",
     "ArrivalModel",
     "ExponentialArrivals",
     "OnOffArrivals",

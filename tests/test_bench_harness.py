@@ -1,11 +1,20 @@
 """Tests for the repro.bench harness and the `repro bench` CLI command."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro import bench
 from repro.cli import main
+from repro.simulator import kernel
+from repro.simulator.kernel import c_kernel_available
+
+
+def hide_kernel(monkeypatch):
+    """Take the compiler-less path: the reference engine."""
+    monkeypatch.setattr(kernel, "_loaded", None)
+    monkeypatch.setattr(kernel, "_load_attempted", True)
 
 
 class TestHarness:
@@ -15,7 +24,15 @@ class TestHarness:
         assert run.cycles_run > 0
         assert run.completed > 0
         assert run.flit_moves >= run.completed * cfg.message_length
-        assert run.engine in ("soa", "reference")
+        if c_kernel_available():
+            assert (run.engine, run.kernel) == ("soa", "span")
+
+    def test_run_sim_once_labels_the_reference_engine(self, monkeypatch):
+        hide_kernel(monkeypatch)
+        cfg = replace(bench.bench_sim_config(quick=True), measure_cycles=1_000)
+        run = bench.run_sim_once(cfg)
+        assert (run.engine, run.kernel) == ("reference", "python")
+        assert run.completed > 0
 
     def test_throughput_stats(self):
         run = bench.SimRun(
@@ -126,6 +143,14 @@ class TestHarness:
         failures = bench.check_regression(quick, full)
         assert any("quick-mode mismatch" in f for f in failures)
 
+    def test_check_regression_engine_mismatch(self):
+        soa = self._report(50_000.0, 200.0)
+        soa["simulator"]["engine"] = "soa"
+        ref = self._report(50_000.0, 200.0)
+        ref["simulator"]["engine"] = "reference"
+        failures = bench.check_regression(ref, soa)
+        assert any("engine mismatch" in f for f in failures)
+
     def test_check_regression_malformed_baseline(self):
         report = {"quick": True, "simulator": {"cycles_per_sec": 1.0}}
         assert bench.check_regression(report, {}) != []
@@ -176,8 +201,12 @@ class TestCli:
                    "--check", str(tmp_path / "missing.json")])
         assert rc == 2
 
-    def test_simulate_engine_flag(self, capsys):
-        rc = main(["simulate", "--k", "4", "--lm", "4", "--rate", "1e-3",
-                   "--cycles", "2000", "--engine", "reference"])
-        assert rc == 0
-        assert "completed" in capsys.readouterr().out
+    def test_simulate_on_reference_engine(self, capsys, monkeypatch):
+        argv = ["simulate", "--k", "4", "--lm", "4", "--rate", "1e-3",
+                "--cycles", "2000"]
+        assert main(argv) == 0
+        compiled = capsys.readouterr().out
+        assert "completed" in compiled
+        hide_kernel(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == compiled

@@ -221,18 +221,21 @@ class TestEngineSafety:
             engine.schedule_message(0.0, linear_message(0, [0], 1))
 
     def test_idle_fast_forward(self):
+        # The run loop advances an idle engine to the next arrival
+        # cycle; the skipped cycles count as run.
         engine = make_engine()
-        engine.schedule_message(1000.5, linear_message(0, [0], length=1))
-        engine.fast_forward_if_idle()
+        engine.advance(1000)
         assert engine.cycle == 1000
+        assert engine.counters.cycles_run == 1000
+        engine.schedule_message(1000.5, linear_message(0, [0], length=1))
 
     def test_fast_forward_noop_with_messages(self):
+        # A message in flight: advance steps one cycle and stops there.
         engine = make_engine()
         engine.schedule_message(0.0, linear_message(0, [0], length=3))
-        engine.schedule_message(500.0, linear_message(1, [1], length=1, src=1))
-        engine.step()
-        engine.fast_forward_if_idle()
+        engine.advance(500)
         assert engine.cycle == 1
+        assert engine.messages
 
     def test_message_requires_route(self):
         with pytest.raises(ValueError):

@@ -1,21 +1,23 @@
-"""Cross-engine equivalence: SoA engines vs reference engine.
+"""Cross-engine equivalence: compiled engines vs the reference engine.
 
-The structure-of-arrays engines are only allowed to be *faster* than
-the reference engine, never different: delivered-message streams (ids,
-completion cycles, generation times), aggregate counters and
-per-channel flit counts must agree bit for bit on every configuration —
-deterministic and adaptive routing, uniform and hot-spot traffic, with
-and without ejection modelling, for both the C and the numpy kernel.
-With the C kernel, deterministic runs go through the whole-span engine
-(:class:`~repro.simulator.span.SpanEngine`) and adaptive runs through
-the per-cycle one.
+The compiled engines are only allowed to be *faster* than the reference
+engine, never different: delivered-message streams (ids, completion
+cycles, generation times), aggregate counters and per-channel flit
+counts must agree bit for bit on every configuration — deterministic
+and adaptive routing, uniform and hot-spot traffic, with and without
+ejection modelling.  With the C kernel loaded, deterministic runs go
+through the whole-span engine (:class:`~repro.simulator.span.SpanEngine`)
+and adaptive runs through the per-cycle one
+(:class:`~repro.simulator.soa.SoACycleEngine`); with the kernel hidden,
+as on a host without a compiler, both run on the reference
+:class:`~repro.simulator.engine.CycleEngine`, the oracle.
 
 A hypothesis property sweeps random small configurations; pinned
 example cases keep the matrix covered even on --hypothesis-seed reruns.
 """
 
-import os
-from contextlib import contextmanager
+import dataclasses
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -29,43 +31,45 @@ from repro.simulator import (
     SimulationConfig,
     SoACycleEngine,
     SpanEngine,
-    resolve_engine_kind,
 )
-from repro.simulator import span
+from repro.simulator import kernel, span
 from repro.simulator.kernel import c_kernel_available
 from repro.simulator.network import TorusWorkload
-from repro.simulator.soa import resolve_soa_kernel
+from repro.store import config_key
+
+requires_kernel = pytest.mark.skipif(
+    not c_kernel_available(), reason="no C compiler"
+)
 
 
 @contextmanager
-def _env(name, value):
-    old = os.environ.get(name)
+def kernel_hidden():
+    """Hide the loaded C kernel, as on a host without a compiler."""
+    saved = kernel._loaded, kernel._load_attempted
+    kernel._loaded, kernel._load_attempted = None, True
     try:
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
         yield
     finally:
-        if old is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = old
+        kernel._loaded, kernel._load_attempted = saved
 
 
-def run_traced(cfg: SimulationConfig, engine: str, kernel: str = "auto"):
-    """Run a workload and capture everything that must match."""
-    with _env("REPRO_SOA_KERNEL", kernel):
-        w = TorusWorkload(replace(cfg, engine=engine))
-        deliveries = []
-        original = w.engine.on_delivery
+def run_traced(cfg: SimulationConfig, compiled: bool):
+    """Run a workload and capture everything that must match.
 
-        def hook(msg, cycle):
-            deliveries.append((msg.msg_id, cycle, msg.generated_at, msg.is_hot))
-            original(msg, cycle)
+    ``compiled=False`` hides the C kernel, so the run takes the
+    compiler-less path: the reference engine.
+    """
+    with nullcontext() if compiled else kernel_hidden():
+        w = TorusWorkload(cfg)
+    deliveries = []
+    original = w.engine.on_delivery
 
-        w.engine.on_delivery = hook
-        w.run()
+    def hook(msg, cycle):
+        deliveries.append((msg.msg_id, cycle, msg.generated_at, msg.is_hot))
+        original(msg, cycle)
+
+    w.engine.on_delivery = hook
+    w.run()
     c = w.engine.counters
     return {
         "workload": w,
@@ -86,11 +90,15 @@ def assert_identical(ref, soa, label):
         assert ref["mean"] == soa["mean"], label
 
 
-def available_kernels():
-    kernels = ["numpy"]
+def assert_compiled_matches_reference(cfg):
+    """The compiled path matches the reference; returns both traces."""
+    ref = run_traced(cfg, compiled=False)
+    assert type(ref["workload"].engine) is CycleEngine
+    run = run_traced(cfg, compiled=True)
     if c_kernel_available():
-        kernels.append("c")
-    return kernels
+        assert type(run["workload"].engine) is not CycleEngine
+    assert_identical(ref, run, f"cfg={cfg}")
+    return ref, run
 
 
 @st.composite
@@ -116,10 +124,7 @@ class TestEquivalenceProperty:
     @given(cfg=equivalence_configs())
     @settings(max_examples=20, deadline=None)
     def test_soa_matches_reference(self, cfg):
-        ref = run_traced(cfg, "reference")
-        for kernel in available_kernels():
-            soa = run_traced(cfg, "soa", kernel)
-            assert_identical(ref, soa, f"kernel={kernel} cfg={cfg}")
+        assert_compiled_matches_reference(cfg)
 
 
 PINNED_CASES = [
@@ -154,10 +159,7 @@ class TestEquivalencePinned:
             measure_cycles=3_000,
             seed=k * 100 + vcs,
         )
-        ref = run_traced(cfg, "reference")
-        for kernel in available_kernels():
-            soa = run_traced(cfg, "soa", kernel)
-            assert_identical(ref, soa, f"kernel={kernel}")
+        assert_compiled_matches_reference(cfg)
 
     def test_bidirectional_case(self):
         cfg = SimulationConfig(
@@ -171,29 +173,7 @@ class TestEquivalencePinned:
             measure_cycles=3_000,
             seed=23,
         )
-        ref = run_traced(cfg, "reference")
-        for kernel in available_kernels():
-            assert_identical(ref, run_traced(cfg, "soa", kernel), kernel)
-
-    def test_kernels_agree_with_each_other(self):
-        if not c_kernel_available():
-            pytest.skip("no C compiler available")
-        cfg = SimulationConfig(
-            k=4, message_length=8, rate=2e-3, hotspot_fraction=0.2,
-            warmup_cycles=0, measure_cycles=4_000, seed=3,
-        )
-        a = run_traced(cfg, "soa", "c")
-        b = run_traced(cfg, "soa", "numpy")
-        assert_identical(a, b, "c vs numpy")
-
-
-def assert_all_match_reference(cfg):
-    """Every SoA kernel matches the reference; returns the traces."""
-    ref = run_traced(cfg, "reference")
-    runs = {k: run_traced(cfg, "soa", k) for k in available_kernels()}
-    for kernel, run in runs.items():
-        assert_identical(ref, run, f"kernel={kernel} cfg={cfg}")
-    return ref, runs
+        assert_compiled_matches_reference(cfg)
 
 
 class TestSpanPinned:
@@ -206,14 +186,14 @@ class TestSpanPinned:
 
     def test_backlog_exit(self):
         cfg = replace(self.BASE, rate=0.05, hotspot_fraction=0.5)
-        ref, _ = assert_all_match_reference(cfg)
+        ref, _ = assert_compiled_matches_reference(cfg)
         w = ref["workload"]
         assert w.backlog_saturated()
         assert w.engine.counters.cycles_run < cfg.total_cycles
 
     def test_target_completions_exit(self):
         cfg = replace(self.BASE, rate=4e-3, target_completions=60)
-        ref, _ = assert_all_match_reference(cfg)
+        ref, _ = assert_compiled_matches_reference(cfg)
         assert 60 <= ref["count"] < 70
         assert ref["counters"][3] < cfg.total_cycles
 
@@ -224,8 +204,7 @@ class TestSpanPinned:
             k=4, message_length=4, rate=2e-3, hotspot_fraction=0.2,
             warmup_cycles=1_000, measure_cycles=2_000, seed=14,
         )
-        ref, runs = assert_all_match_reference(cfg)
-        for run in (ref, *runs.values()):
+        for run in assert_compiled_matches_reference(cfg):
             w = run["workload"]
             assert w._cycles_at_warmup == cfg.warmup_cycles
             assert w.measured_channel_utilization().max() > 0
@@ -234,29 +213,29 @@ class TestSpanPinned:
         cfg = replace(
             self.BASE, message_length=1, buffer_depth=1, num_vcs=5, rate=2e-2,
         )
-        assert_all_match_reference(cfg)
+        assert_compiled_matches_reference(cfg)
 
     def test_ejection_and_bidirectional(self):
         cfg = replace(
             self.BASE, bidirectional=True, model_ejection=True, num_vcs=3,
             buffer_depth=2, rate=6e-3, hotspot_fraction=0.4,
         )
-        assert_all_match_reference(cfg)
+        assert_compiled_matches_reference(cfg)
 
     def test_in_flight_outgrows_record_table(self):
         cfg = replace(
             self.BASE, rate=0.05, hotspot_fraction=0.6,
             saturation_backlog_factor=16.0,
         )
-        ref, runs = assert_all_match_reference(cfg)
+        ref, run = assert_compiled_matches_reference(cfg)
         assert ref["workload"].engine.counters.backlog > span._INITIAL_RECORDS
-        if "c" in runs:
-            engine = runs["c"]["workload"].engine
+        if c_kernel_available():
+            engine = run["workload"].engine
             assert isinstance(engine, SpanEngine)
             assert len(engine._rec_msg) > span._INITIAL_RECORDS
 
 
-@pytest.mark.skipif(not c_kernel_available(), reason="no C compiler")
+@requires_kernel
 class TestSpanEngineDirect:
     """The span engine driven through its engine interface: input checks,
     and hand-built scenarios for orderings random workloads rarely hit,
@@ -352,124 +331,78 @@ class TestSpanEngineDirect:
 
 
 class TestEngineSelection:
+    """The routing mode and whether the C kernel loads pick the engine."""
+
     BASE = SimulationConfig(
         k=4, message_length=4, rate=1e-3, warmup_cycles=0,
         measure_cycles=500, seed=1,
     )
+    ADAPTIVE = replace(BASE, routing="adaptive", num_vcs=3)
 
-    def test_default_is_soa(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_SOA_KERNEL", raising=False)
-        w = TorusWorkload(self.BASE)
-        assert isinstance(w.engine, (SpanEngine, SoACycleEngine))
-        assert w.engine_kind == "soa"
-
-    @pytest.mark.skipif(not c_kernel_available(), reason="no C compiler")
-    def test_routing_picks_span_or_per_cycle_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_SOA_KERNEL", raising=False)
+    @requires_kernel
+    def test_deterministic_routing_gets_span_engine(self):
         assert type(TorusWorkload(self.BASE).engine) is SpanEngine
-        adaptive = replace(self.BASE, routing="adaptive", num_vcs=3)
-        assert type(TorusWorkload(adaptive).engine) is SoACycleEngine
-        monkeypatch.setenv("REPRO_SOA_KERNEL", "numpy")
-        assert type(TorusWorkload(self.BASE).engine) is SoACycleEngine
 
-    def test_env_selects_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        w = TorusWorkload(self.BASE)
-        assert type(w.engine) is CycleEngine
-        assert w.engine_kind == "reference"
+    @requires_kernel
+    def test_adaptive_routing_gets_soa_engine(self):
+        assert type(TorusWorkload(self.ADAPTIVE).engine) is SoACycleEngine
 
-    def test_config_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        w = TorusWorkload(replace(self.BASE, engine="soa"))
-        assert isinstance(w.engine, (SpanEngine, SoACycleEngine))
+    def test_hidden_kernel_gets_reference_engine(self):
+        with kernel_hidden():
+            assert type(TorusWorkload(self.BASE).engine) is CycleEngine
+            assert type(TorusWorkload(self.ADAPTIVE).engine) is CycleEngine
 
-    def test_bad_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "turbo")
-        with pytest.raises(ValueError, match="REPRO_ENGINE"):
-            resolve_engine_kind("auto")
-
-    def test_bad_config_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            replace(self.BASE, engine="turbo")
-
-    def test_bad_kernel_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA_KERNEL", "fortran")
-        with pytest.raises(ValueError, match="REPRO_SOA_KERNEL"):
-            resolve_soa_kernel()
-
-    def test_engine_argument_normalized(self, monkeypatch):
-        # Case- and whitespace-insensitive, empty means auto — the same
-        # normalisation $REPRO_ENGINE gets.
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine_kind("  SoA ") == "soa"
-        assert resolve_engine_kind("REFERENCE") == "reference"
-        assert resolve_engine_kind("") == "soa"
-        assert resolve_engine_kind(" Auto\t") == "soa"
-
-    def test_engine_env_normalized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "  Reference ")
-        assert resolve_engine_kind("auto") == "reference"
-        monkeypatch.setenv("REPRO_ENGINE", "")
-        assert resolve_engine_kind("auto") == "soa"
-
-    def test_bad_engine_argument_raises(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        with pytest.raises(ValueError, match="turbo"):
-            resolve_engine_kind("turbo")
-
-    def test_kernel_argument_normalized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOA_KERNEL", raising=False)
-        assert resolve_soa_kernel(" NumPy ") == "numpy"
-        assert resolve_soa_kernel("") in ("c", "numpy")  # empty == auto
-
-    def test_kernel_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA_KERNEL", "c")
-        assert resolve_soa_kernel("numpy") == "numpy"
-
-    def test_bad_kernel_argument_raises(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOA_KERNEL", raising=False)
-        with pytest.raises(ValueError, match="fortran"):
-            resolve_soa_kernel("fortran")
+    def test_config_has_one_store_key(self):
+        # The engine is not part of the configuration, so a point has
+        # one key whichever engine computes it.
+        names = {f.name for f in dataclasses.fields(SimulationConfig)}
+        assert "engine" not in names
+        with pytest.raises(TypeError, match="engine"):
+            SimulationConfig(k=4, engine="soa")
+        key = config_key(SimulationConfig(k=4))
+        assert key == config_key(SimulationConfig(k=4, routing="deterministic"))
+        assert key != config_key(SimulationConfig(k=4, seed=1))
 
     def test_simulation_result_identical_across_engines(self):
-        ref = Simulation(replace(self.BASE, engine="reference")).run()
-        soa = Simulation(replace(self.BASE, engine="soa")).run()
-        assert ref.mean_latency == soa.mean_latency
-        assert ref.num_completed == soa.num_completed
-        assert ref.cycles_run == soa.cycles_run
-        assert ref.max_channel_utilization == soa.max_channel_utilization
+        compiled = Simulation(self.BASE).run()
+        with kernel_hidden():
+            ref = Simulation(self.BASE).run()
+        assert ref.mean_latency == compiled.mean_latency
+        assert ref.num_completed == compiled.num_completed
+        assert ref.cycles_run == compiled.cycles_run
+        assert ref.max_channel_utilization == compiled.max_channel_utilization
 
 
 class TestSoAInternals:
-    """The SoA engines keep the reference engine's public invariants."""
+    """The per-cycle SoA engine keeps the reference engine's public
+    invariants."""
 
+    @requires_kernel
     def test_pools_drain_clean(self):
         cfg = SimulationConfig(
-            k=4, message_length=6, rate=2e-3, hotspot_fraction=0.3,
-            warmup_cycles=0, measure_cycles=3_000, seed=9, engine="soa",
+            k=4, routing="adaptive", num_vcs=3, message_length=6, rate=2e-3,
+            hotspot_fraction=0.3, warmup_cycles=0, measure_cycles=3_000,
+            seed=9,
         )
-        for kernel in available_kernels():
-            with _env("REPRO_SOA_KERNEL", kernel):
-                w = TorusWorkload(cfg)
-            w.run()
-            w._arrivals.clear()
-            guard = 0
-            while w.engine.messages:
-                w.engine.step()
-                guard += 1
-                assert guard < 100_000
-            assert not w.engine.held_vcs(), kernel
-            for ch in range(w.engine.num_channels):
-                assert sorted(w.engine.free_vcs(ch)) == list(range(cfg.num_vcs))
-            assert not np.any(w.engine._busy_cnt), kernel
-            assert not np.any(w.engine._avail[: w.engine._n_slots]), kernel
+        w = TorusWorkload(cfg)
+        assert type(w.engine) is SoACycleEngine
+        w.run()
+        w._arrivals.clear()
+        guard = 0
+        while w.engine.messages:
+            w.engine.step()
+            guard += 1
+            assert guard < 100_000
+        assert not w.engine.held_vcs()
+        for ch in range(w.engine.num_channels):
+            assert sorted(w.engine.free_vcs(ch)) == list(range(cfg.num_vcs))
+        assert not np.any(w.engine._busy_cnt)
+        assert not np.any(w.engine._avail[: w.engine._n_slots])
 
     def test_conservation(self):
         cfg = SimulationConfig(
             k=4, message_length=8, rate=2e-3, warmup_cycles=0,
-            measure_cycles=4_000, seed=2, engine="soa",
+            measure_cycles=4_000, seed=2,
         )
         w = TorusWorkload(cfg)
         w.run()

@@ -1,7 +1,9 @@
 """Golden regression tests: the model curves of the paper's figures.
 
-The benchmark suite writes each regenerated panel to
-``benchmarks/results/<panel>.txt``.  These tests pin the *model* column
+The checked-in tables ``benchmarks/results/<panel>.txt`` hold each
+panel as last regenerated by the benchmark suite (which writes its runs
+to ``.benchmarks/tables/``; updating the goldens is an explicit copy,
+see ``benchmarks/conftest.py``).  These tests pin the *model* column
 of every Figure 1 / Figure 2 panel against those checked-in tables, so a
 refactor of the solver, the equations or the sweep engine cannot
 silently shift the reproduction.

@@ -1,10 +1,9 @@
 """The SoA C-kernel fallback must warn, once, naming the failure.
 
-A missing compiler (or a broken compile) used to degrade silently to the
-~4x slower numpy kernel; now :func:`repro.simulator.kernel.load_c_kernel`
-emits a single :class:`RuntimeWarning` that names the actual failure.
-The explicit ``REPRO_SOA_KERNEL=numpy`` opt-out stays silent, and a
-successful compile warns about nothing.
+A missing compiler (or a broken compile) must not degrade silently to
+the ~5x slower reference engine: :func:`repro.simulator.kernel.load_c_kernel`
+emits a single :class:`RuntimeWarning` that names the actual failure and
+the fallback engine, and a successful compile warns about nothing.
 """
 
 import warnings
@@ -12,7 +11,6 @@ import warnings
 import pytest
 
 import repro.simulator.kernel as kernel_mod
-from repro.simulator.soa import resolve_soa_kernel
 
 
 @pytest.fixture
@@ -21,7 +19,6 @@ def fresh_loader(tmp_path, monkeypatch):
     monkeypatch.setattr(kernel_mod, "_loaded", None)
     monkeypatch.setattr(kernel_mod, "_load_attempted", False)
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
-    monkeypatch.delenv("REPRO_SOA_KERNEL", raising=False)
     return tmp_path
 
 
@@ -41,15 +38,15 @@ class TestFallbackWarning:
             warnings.simplefilter("error")
             assert kernel_mod.load_c_kernel() is None
 
-    def test_warning_names_the_numpy_fallback_and_the_opt_out(
+    def test_warning_names_the_reference_engine_fallback(
         self, fresh_loader, monkeypatch
     ):
         monkeypatch.setattr(kernel_mod, "_compiler", lambda: None)
         with pytest.warns(RuntimeWarning) as record:
             kernel_mod.load_c_kernel()
         message = str(record[0].message)
-        assert "pure-numpy kernel" in message
-        assert "REPRO_SOA_KERNEL=numpy" in message
+        assert "CycleEngine" in message
+        assert "C compiler" in message
 
     @pytest.mark.skipif(not _has_compiler(), reason="needs a C compiler")
     def test_compile_error_warns_with_stderr(self, fresh_loader, monkeypatch):
@@ -64,15 +61,6 @@ class TestFallbackWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert kernel_mod.load_c_kernel() is not None
-
-    def test_explicit_numpy_opt_out_is_silent(self, fresh_loader, monkeypatch):
-        # The user asked for the numpy kernel: no compile attempt, no
-        # warning — even when no compiler exists.
-        monkeypatch.setattr(kernel_mod, "_compiler", lambda: None)
-        monkeypatch.setenv("REPRO_SOA_KERNEL", "numpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_soa_kernel() == "numpy"
 
 
 @pytest.mark.skipif(not _has_compiler(), reason="needs a C compiler")
@@ -103,7 +91,7 @@ class TestCorruptCacheRecovery:
         self, fresh_loader, monkeypatch
     ):
         # A bad *compile* (no pre-existing .so) is a plain fallback:
-        # nothing to quarantine, numpy kernel takes over.
+        # nothing to quarantine, the reference engine takes over.
         monkeypatch.setattr(kernel_mod, "C_SOURCE", "int broken( {\n")
         with pytest.warns(RuntimeWarning, match="compilation failed"):
             assert kernel_mod.load_c_kernel() is None
