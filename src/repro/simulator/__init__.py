@@ -30,8 +30,9 @@ from the routing mode and from whether the C kernel loads, and is
 decided per run by :class:`~repro.simulator.network.TorusWorkload`:
 
 * :class:`~repro.simulator.span.SpanEngine` — deterministic routing:
-  one C call runs a whole span of cycles between arrivals (admission,
-  FCFS VC allocation, link arbitration, header/tail events, delivery);
+  one C call runs a whole window of arrivals (admission of each message
+  at its cycle, FCFS VC allocation, link arbitration, header/tail
+  events, delivery);
 * :class:`~repro.simulator.soa.SoACycleEngine` — adaptive routing: the
   per-cycle structure-of-arrays engine with the link phase in C;
 * :class:`~repro.simulator.engine.CycleEngine` — the object-per-message

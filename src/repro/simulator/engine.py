@@ -475,9 +475,17 @@ class CycleEngine:
         """Free VCs of ``channel``, class by class, bottom of stack first."""
         return [vc for free in self.pools[channel].free_by_class for vc in free]
 
-    def queued_messages(self) -> List[Message]:
-        """Messages waiting in source queues (the heads included)."""
-        return [msg for queue in self._source_queues.values() for msg in queue]
+    def stop_arrivals(self) -> None:
+        """Drop every scheduled message not admitted yet."""
+        self._arrival_heap.clear()
+
+    def backlog_ids(self) -> List[int]:
+        """Ids of the admitted messages not yet delivered, ascending."""
+        return sorted(self.messages)
+
+    def queued_ids(self) -> List[int]:
+        """Ids of the messages in source queues (the heads included)."""
+        return [msg.msg_id for queue in self._source_queues.values() for msg in queue]
 
     def fast_forward_to(self, cycle: int) -> None:
         """Jump an idle engine's clock forward to ``cycle``.

@@ -15,15 +15,14 @@ tail position are all derived from that vector:
 This representation is exact for wormhole switching with in-order flits
 and is what keeps a pure-Python flit-level simulation tractable.
 
-Only the reference engine advances ``crossed`` per flit.  The
-structure-of-arrays engines track flit progress in their own flat
-per-VC arrays, so under them ``crossed`` stays at its initial zeros.
-The per-cycle engine (:mod:`repro.simulator.soa`) still uses
-:class:`Message` at injection, header-arrival, tail-departure and
-delivery boundaries and keeps ``route_channels``, ``route_classes``,
-``vcs`` and ``final_hop`` current; the whole-span engine
-(:mod:`repro.simulator.span`) reads a message once, when it is
-scheduled, and hands it back at delivery.
+Only the reference engine advances ``crossed`` per flit.  The per-cycle
+structure-of-arrays engine (:mod:`repro.simulator.soa`) tracks flit
+progress in its own flat per-VC arrays, so under it ``crossed`` stays
+at its initial zeros; it still uses :class:`Message` at injection,
+header-arrival, tail-departure and delivery boundaries and keeps
+``route_channels``, ``route_classes``, ``vcs`` and ``final_hop``
+current.  The whole-span engine (:mod:`repro.simulator.span`) uses no
+:class:`Message` at all: it keeps each message as a flat record.
 """
 
 from __future__ import annotations

@@ -22,11 +22,16 @@ Two entry points share that link phase:
   :class:`~repro.simulator.soa.SoACycleEngine`, which serves adaptive
   routing;
 * ``repro_soa_span`` runs **every phase of a whole span of cycles** for
-  deterministic routing — admission into per-source FIFOs, FCFS
-  virtual-channel allocation, the link phase, header and tail events,
-  VC release and delivery — on flat per-message records, a route pool
-  and intrusive per-(channel, class) request queues, and returns a
-  delivery log (:class:`~repro.simulator.span.SpanEngine`).
+  deterministic routing (:class:`~repro.simulator.span.SpanEngine`).
+  It is handed a window of scheduled messages (records in admission
+  order, each with its arrival cycle) and admits each into its source's
+  FIFO at the top of its own cycle; then come FCFS virtual-channel
+  allocation, the link phase, header and tail events, VC release and
+  delivery, on flat per-message records, a route pool and intrusive
+  per-(channel, class) request queues.  An empty network jumps to the
+  next arrival cycle.  The call returns at the span's stop (the
+  window's end, the warmup edge or the end of the run) or on the
+  backlog, delivery-target or watchdog exit, with a delivery log.
 
 Both are compiled from one C source on first use with the system C
 compiler into ``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro/
@@ -147,9 +152,10 @@ int64_t repro_soa_cycle(const uint64_t *ctx)
    the next allocation pass as another (mark).  Run state that outlives
    one call lives in the int64 io block (SPAN_IO_LAYOUT in kernel.py). */
 enum { R_SRC, R_LEN, R_ROFF, R_NHOPS, R_HSLOT, R_SNEXT, R_RNEXT, REC_FIELDS };
-enum { IO_CYCLE, IO_STOP, IO_BACKLOG, IO_TARGET, IO_ADMITTED, IO_GENERATED,
-       IO_COMPLETED, IO_FLITS, IO_CYCLES_RUN, IO_PROGRESS, IO_WATCHDOG,
-       IO_DELIVERED, IO_DIRTY, IO_PENDING, IO_PASS, IO_HELD };
+enum { IO_CYCLE, IO_STOP, IO_BACKLOG, IO_TARGET, IO_ADMIT_NEXT, IO_ADMIT_END,
+       IO_GENERATED, IO_COMPLETED, IO_FLITS, IO_CYCLES_RUN, IO_STEPPED,
+       IO_PROGRESS, IO_WATCHDOG, IO_DELIVERED, IO_DIRTY, IO_PENDING, IO_PASS,
+       IO_HELD };
 
 typedef struct {
     int32_t nch, nvc, split, depth, nslot, cur;
@@ -300,12 +306,32 @@ static void boundary(span_t *k, int32_t s, int64_t cyc)
     }
 }
 
-/* Admit the io[IO_ADMITTED] records of admit[] at cycle io[IO_CYCLE],
-   then run cycles until io[IO_STOP]: an allocation pass when a request
-   or release happened since the last one and a request is pending, the
-   link phase, then the boundary events in ascending slot order.  The
-   span ends early after a cycle whose backlog exceeds io[IO_BACKLOG]
-   or whose deliveries reach io[IO_TARGET]; an empty network jumps to
+/* Put record r at the back of its source's injection FIFO; a record
+   that becomes the head requests its first hop. */
+static void admit(span_t *k, int32_t r)
+{
+    int32_t *rec = k->rec + (int64_t) r * REC_FIELDS;
+    int32_t src = rec[R_SRC];
+    rec[R_HSLOT] = -1;
+    rec[R_SNEXT] = -1;
+    if (k->src_tail[src] < 0) {
+        k->src_head[src] = r;
+        k->src_tail[src] = r;
+        request(k, r, 0);
+    } else {
+        k->rec[(int64_t) k->src_tail[src] * REC_FIELDS + R_SNEXT] = r;
+        k->src_tail[src] = r;
+    }
+}
+
+/* Run cycles from io[IO_CYCLE] until io[IO_STOP].  A cycle first admits
+   the records of admit[io[IO_ADMIT_NEXT] .. io[IO_ADMIT_END]) whose
+   arrival cycle (admit_cyc, ascending) has come, in order; then comes
+   an allocation pass when a request or release happened since the last
+   one and a request is pending, the link phase, and the boundary events
+   in ascending slot order.  The span ends early after a cycle whose
+   backlog exceeds io[IO_BACKLOG] or whose deliveries reach
+   io[IO_TARGET]; an empty network jumps to the next arrival cycle or
    the stop.  Returns -1 if no flit moved for io[IO_WATCHDOG] cycles
    with messages in flight, else 0.  See SPAN_CTX_LAYOUT in kernel.py
    for the context block. */
@@ -313,7 +339,8 @@ int64_t repro_soa_span(const uint64_t *ctx)
 {
     span_t k;
     int64_t *io = (int64_t *) ctx[4];
-    const int32_t *admit = (const int32_t *) ctx[20];
+    const int32_t *adm = (const int32_t *) ctx[20];
+    const int64_t *adm_cyc = (const int64_t *) ctx[34];
     k.nch = (int32_t) ctx[0];
     k.nvc = (int32_t) ctx[1];
     k.split = (int32_t) ctx[2];
@@ -355,27 +382,16 @@ int64_t repro_soa_span(const uint64_t *ctx)
     k.dirty = io[IO_DIRTY];
 
     int64_t cyc = io[IO_CYCLE], stop = io[IO_STOP];
+    int64_t next = io[IO_ADMIT_NEXT], end = io[IO_ADMIT_END];
     int64_t generated = io[IO_GENERATED], completed = io[IO_COMPLETED];
     int64_t flits = io[IO_FLITS], cycles_run = io[IO_CYCLES_RUN];
-    int64_t progress = io[IO_PROGRESS], status = 0;
-    for (int64_t i = 0; i < io[IO_ADMITTED]; ++i) {
-        int32_t r = admit[i];
-        int32_t *rec = k.rec + (int64_t) r * REC_FIELDS;
-        int32_t src = rec[R_SRC];
-        rec[R_HSLOT] = -1;
-        rec[R_SNEXT] = -1;
-        if (k.src_tail[src] < 0) {
-            k.src_head[src] = r;
-            k.src_tail[src] = r;
-            request(&k, r, 0);
-        } else {
-            k.rec[(int64_t) k.src_tail[src] * REC_FIELDS + R_SNEXT] = r;
-            k.src_tail[src] = r;
-        }
-        ++generated;
-    }
+    int64_t stepped = io[IO_STEPPED], progress = io[IO_PROGRESS], status = 0;
     while (cyc < stop) {
         int32_t moves = 0, nev = 0;
+        for (; next < end && adm_cyc[next] <= cyc; ++next) {
+            admit(&k, adm[next]);
+            ++generated;
+        }
         if (k.dirty && k.npend > 0) alloc_pass(&k);
         if (k.held > 0)
             moves = link_phase((k.nch + 63) >> 6, k.busy, k.nvc, k.rr,
@@ -397,22 +413,24 @@ int64_t repro_soa_span(const uint64_t *ctx)
         }
         ++cyc;
         ++cycles_run;
+        ++stepped;
         if (inflight > io[IO_BACKLOG] || k.nlog >= io[IO_TARGET]) break;
         if (inflight == 0) {
-            if (cyc < stop) {
-                cycles_run += stop - cyc;
-                cyc = stop;
-                progress = stop;
+            int64_t to = next < end && adm_cyc[next] < stop ? adm_cyc[next] : stop;
+            if (cyc < to) {
+                cycles_run += to - cyc;
+                cyc = to;
+                progress = to;
             }
-            break;
         }
     }
     io[IO_CYCLE] = cyc;
-    io[IO_ADMITTED] = 0;
+    io[IO_ADMIT_NEXT] = next;
     io[IO_GENERATED] = generated;
     io[IO_COMPLETED] = completed + k.nlog;
     io[IO_FLITS] = flits;
     io[IO_CYCLES_RUN] = cycles_run;
+    io[IO_STEPPED] = stepped;
     io[IO_PROGRESS] = progress;
     io[IO_DELIVERED] = k.nlog;
     io[IO_DIRTY] = k.dirty;
@@ -480,6 +498,7 @@ SPAN_CTX_LAYOUT = (
     "log_rec",
     "log_cyc",
     "busy_bits",
+    "admit_cyc",
 )
 
 #: Fields of one span-kernel message record (int32 each); the R_* enum
@@ -500,11 +519,13 @@ SPAN_IO_LAYOUT = (
     "stop",
     "backlog_limit",
     "target",
-    "admitted",
+    "admit_next",
+    "admit_end",
     "generated",
     "completed",
     "flit_moves",
     "cycles_run",
+    "stepped",
     "last_progress",
     "watchdog",
     "delivered",

@@ -1,31 +1,50 @@
 """Workload wiring: topology + traffic pattern + cycle engine.
 
-:class:`TorusWorkload` owns the arrival generation (one pending arrival
-per source, so memory stays O(N) regardless of run length; Poisson by
-default, bursty models via ``arrival_model``), message construction
-(destination draw, route lookup or adaptive next-hop choice,
-hot/regular classification) and the delivery statistics.
+:class:`TorusWorkload` owns arrival generation (Poisson by default,
+bursty models via ``arrival_model``), destination draws, routes,
+hot/regular classification and the delivery statistics, and drives one
+of three bit-identical engines through one loop, :meth:`TorusWorkload.run`.
 
-Arrival gaps are pre-drawn in numpy blocks per source (each source owns
-a spawned child RNG) rather than one ``next_gap`` call per message;
-destination draws stay on the workload RNG in admission order, so a run
-is fully determined by ``config.seed`` for any engine and job count.
+Arrivals are generated one *window* of cycles at a time, in numpy.
+Each source owns a spawned child RNG and draws its inter-arrival gaps
+through :meth:`~repro.traffic.burst.ArrivalModel.sample_gaps` in blocks
+of 256; its arrival times are the running sum of its gaps, continued
+from block to block.  A window takes every source's arrivals before the
+window's end and merges them by (time, source).  Destinations are then
+drawn in that order from the workload RNG, which serves nothing else,
+so a run is fully determined by ``config.seed`` for any engine, window
+and job count.  A window spans about ``backlog_limit / (N * rate)``
+cycles — about as many arrivals as the backlog exit tolerates — so an
+overloaded point draws at most about one window it never admits, and
+the workload holds O(window) arrivals, not O(run).  Routes of the
+window's new (source, destination) pairs come from one vectorised
+:meth:`~repro.simulator.router.RouteTable.routes` call.
 
 The engine follows from the routing mode and from whether the C kernel
-loads, and nothing else: deterministic routing runs on the whole-span
-kernel (:class:`~repro.simulator.span.SpanEngine`), adaptive routing on
-the per-cycle structure-of-arrays engine with the C link phase
-(:class:`~repro.simulator.soa.SoACycleEngine`), and a host where the
-kernel does not load runs both on the object engine
-(:class:`~repro.simulator.engine.CycleEngine`).  All three are
-bit-identical in output and driven by the one loop in
-:meth:`TorusWorkload.run`.
+loads, and nothing else:
+
+* deterministic routing runs on the whole-span kernel
+  (:class:`~repro.simulator.span.SpanEngine`), which takes the whole
+  window in one :meth:`~repro.simulator.span.SpanEngine.schedule` call
+  and admits each message at its own cycle in C; its delivery log is
+  replayed into the statistics from arrays, with no ``Message``
+  objects;
+* adaptive routing runs on the per-cycle structure-of-arrays engine
+  with the C link phase (:class:`~repro.simulator.soa.SoACycleEngine`),
+  which is handed each cycle's arrivals as ``Message`` objects built at
+  that cycle, because an adaptive first hop is chosen against the live
+  network;
+* a host where the kernel does not load runs both routing modes on the
+  object engine (:class:`~repro.simulator.engine.CycleEngine`), fed like
+  the per-cycle engine.
+
+The engines differ only in how far ahead arrivals are handed over.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Tuple
+import math
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,37 +62,12 @@ from repro.traffic.patterns import DestinationPattern, HotSpotPattern, UniformPa
 
 __all__ = ["TorusWorkload"]
 
-
-class _GapStream:
-    """Block-buffered inter-arrival gaps for one source.
-
-    Pre-draws gaps from the source's arrival model in numpy blocks (one
-    vectorised RNG call per block for renewal models) instead of one
-    scalar draw per admitted message.
-    """
-
-    __slots__ = ("model", "rng", "_buf", "_pos")
-
-    _BLOCK = 256
-
-    def __init__(self, model: ArrivalModel, rng: np.random.Generator) -> None:
-        self.model = model
-        self.rng = rng
-        self._buf: List[float] = []
-        self._pos = 0
-
-    def next_gap(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self.model.sample_gaps(self.rng, self._BLOCK).tolist()
-            self._pos = 0
-        gap = self._buf[self._pos]
-        self._pos += 1
-        return gap
+# Inter-arrival gaps drawn per sample_gaps call, per source.
+_GAP_BLOCK = 256
 
 
 class TorusWorkload:
-    """Drives a :class:`~repro.simulator.engine.CycleEngine` with the
-    paper's workload on a unidirectional k-ary n-cube.
+    """Drives a cycle engine with the paper's workload on a k-ary n-cube.
 
     Parameters
     ----------
@@ -113,49 +107,83 @@ class TorusWorkload:
                 pattern = UniformPattern(self.network)
         self.pattern = pattern
         self.rng = np.random.default_rng(config.seed)
+        num_nodes = self.network.num_nodes
         # With explicit ejection modelling, every node owns one more
         # channel (id = num_network_channels + node rank) into its PE.
         self._num_network_channels = self.routes.num_channels
         total_channels = self._num_network_channels + (
-            self.network.num_nodes if config.model_ejection else 0
+            num_nodes if config.model_ejection else 0
         )
-        adaptive = config.routing == "adaptive"
+        self._adaptive = config.routing == "adaptive"
         shape = dict(
             num_channels=total_channels,
             num_vcs=config.num_vcs,
             buffer_depth=config.buffer_depth,
-            on_delivery=self._on_delivery,
         )
         if not c_kernel_available():
             self.engine = CycleEngine(
-                next_hop_chooser=self._choose_next_hop if adaptive else None,
-                adaptive=adaptive,
+                on_delivery=self._on_delivery,
+                next_hop_chooser=self._choose_next_hop if self._adaptive else None,
+                adaptive=self._adaptive,
                 **shape,
             )
-        elif adaptive:
+        elif self._adaptive:
             self.engine = SoACycleEngine(
-                next_hop_chooser=self._choose_next_hop, **shape
+                on_delivery=self._on_delivery,
+                next_hop_chooser=self._choose_next_hop,
+                **shape,
             )
         else:
-            self.engine = SpanEngine(num_sources=self.network.num_nodes, **shape)
-        self._msg_seq = 0
-        # Lazy arrival generation: one pending arrival per source, with
-        # gaps pre-drawn in blocks from a per-source child RNG.
-        self._arrivals: List[Tuple[float, int]] = []
-        self._arrival_models: List[_GapStream] = []
+            self.engine = SpanEngine(
+                num_sources=num_nodes, on_deliveries=self._on_deliveries, **shape
+            )
+        # The span engine takes a whole window of arrivals at once.
+        self._bulk = isinstance(self.engine, SpanEngine)
+        # Arrival streams: per source a fresh model and a spawned child
+        # RNG, and a block of upcoming arrival times (running sums of
+        # the block's gaps) with the index of the next one.
         effective_rate = (
             arrival_model.mean_rate if arrival_model is not None else config.rate
         )
         if arrival_model is None and config.rate > 0.0:
             arrival_model = ExponentialArrivals(config.rate)
         self.effective_rate = effective_rate
+        self._models: List[ArrivalModel] = []
+        self._gap_rngs: List[np.random.Generator] = []
+        self._times = np.empty((0, _GAP_BLOCK))
+        self._pos = np.empty(0, dtype=np.int64)
+        self._window_cycles = config.total_cycles
         if arrival_model is not None and effective_rate > 0.0:
-            gap_rngs = self.rng.spawn(self.network.num_nodes)
-            for src in range(self.network.num_nodes):
-                stream = _GapStream(arrival_model.fresh(), gap_rngs[src])
-                self._arrival_models.append(stream)
-                self._arrivals.append((stream.next_gap(), src))
-            heapq.heapify(self._arrivals)
+            self._gap_rngs = self.rng.spawn(num_nodes)
+            self._models = [arrival_model.fresh() for _ in range(num_nodes)]
+            gaps = np.empty((num_nodes, _GAP_BLOCK))
+            for src, (model, rng) in enumerate(zip(self._models, self._gap_rngs)):
+                gaps[src] = model.sample_gaps(rng, _GAP_BLOCK)
+            self._times = np.cumsum(gaps, axis=1)
+            self._pos = np.zeros(num_nodes, dtype=np.int64)
+            backlog_limit = config.saturation_backlog_factor * num_nodes
+            self._window_cycles = max(
+                1, math.ceil(backlog_limit / (num_nodes * effective_rate))
+            )
+        # The open window: its arrivals in admission order and the index
+        # of the first one not handed to the engine yet.
+        self._win_end = 0
+        self._win_first_id = 0
+        self._win_next = 0
+        self._win_time = np.empty(0)
+        self._win_cycle = np.empty(0, dtype=np.int64)
+        self._win_src = np.empty(0, dtype=np.int64)
+        self._win_dst = np.empty(0, dtype=np.int64)
+        self._win_pair = np.empty(0, dtype=np.int64)
+        self._win_msgs: List[tuple] = []
+        # Routed (source, destination) pairs: sorted keys src * N + dst
+        # with their pair ids, and per pair id its hop count, hot flag
+        # and (per-cycle engines) route lists.
+        self._pair_keys = np.empty(0, dtype=np.int64)
+        self._pair_key_ids = np.empty(0, dtype=np.int64)
+        self._pair_hops: List[int] = []
+        self._pair_hot: List[bool] = []
+        self._pair_routes: List[Tuple[List[int], List[int]]] = []
         # Statistics.
         self.warmup_end = config.warmup_cycles
         self.all_stats = LatencyStats()
@@ -165,6 +193,7 @@ class TorusWorkload:
         self.measured_generated = 0
         self._flits_at_warmup: Optional[np.ndarray] = None
         self._cycles_at_warmup = 0
+        self._generated_at_warmup = 0
 
     # ------------------------------------------------------------------
     def _hot_rank(self) -> Optional[int]:
@@ -177,17 +206,148 @@ class TorusWorkload:
             raise ValueError("ejection channels not modelled in this run")
         return self._num_network_channels + node_rank
 
-    def _make_message(self, arrival_time: float, src: int) -> Message:
-        dest = self.pattern.draw(src, self.rng)
+    # ------------------------------------------------------------------
+    # Arrival windows
+    # ------------------------------------------------------------------
+    def _take_arrivals(self, end: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Every source's next arrivals before ``end``, merged in
+        (time, source) order: ``(times, sources)``."""
+        times, pos = self._times, self._pos
+        if not self._models:
+            return np.empty(0), np.empty(0, dtype=np.int64)
+        cols = np.arange(_GAP_BLOCK)
+        count = np.count_nonzero(times < end, axis=1)
+        mask = (cols >= pos[:, None]) & (cols < count[:, None])
+        t_parts = [times[mask]]
+        s_parts = [np.nonzero(mask)[0]]
+        pos[:] = count
+        for src in np.flatnonzero(count == _GAP_BLOCK).tolist():
+            # The block ran out before the window's end: draw the next
+            # one, continuing the running sum from the block's last time.
+            model, rng = self._models[src], self._gap_rngs[src]
+            while pos[src] == _GAP_BLOCK:
+                gaps = model.sample_gaps(rng, _GAP_BLOCK)
+                times[src] = np.concatenate((times[src, -1:], gaps)).cumsum()[1:]
+                pos[src] = np.count_nonzero(times[src] < end)
+                t_parts.append(times[src, : pos[src]])
+                s_parts.append(np.full(pos[src], src))
+        t = np.concatenate(t_parts)
+        s = np.concatenate(s_parts)
+        order = np.lexsort((s, t))
+        return t[order], s[order]
+
+    def _open_window(self, start: int) -> None:
+        """Generate the arrivals of the window that starts at ``start``."""
+        end = min(start + self._window_cycles, self.config.total_cycles)
+        times, src = self._take_arrivals(end)
+        draw, rng = self.pattern.draw, self.rng
+        dst = np.fromiter(
+            (draw(s, rng) for s in src.tolist()), dtype=np.int64, count=len(src)
+        )
+        self._win_first_id += len(self._win_cycle)
+        self._win_end = end
+        self._win_next = 0
+        self._win_time = times
+        self._win_cycle = times.astype(np.int64)
+        self._win_src = src
+        self._win_dst = dst
+        # Adaptive routes are chosen hop by hop, so they have no pair.
+        self._win_pair = (
+            np.full(len(src), -1) if self._adaptive else self._pair_ids(src, dst)
+        )
+        if not self._bulk:
+            # The per-cycle engines build each message at its cycle.
+            self._win_msgs = list(
+                zip(
+                    self._win_cycle.tolist(),
+                    times.tolist(),
+                    src.tolist(),
+                    dst.tolist(),
+                    self._hot_flags(src, dst).tolist(),
+                    self._win_pair.tolist(),
+                )
+            )
+
+    def _pair_ids(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Pair id of each (source, destination), routing new pairs."""
+        n = self.network.num_nodes
+        keys, inverse = np.unique(src * n + dst, return_inverse=True)
+        idx = np.searchsorted(self._pair_keys, keys)
+        known = idx < len(self._pair_keys)
+        known[known] = self._pair_keys[idx[known]] == keys[known]
+        if not known.all():
+            new = keys[~known]
+            ids = self._add_pairs(new // n, new % n)
+            all_keys = np.concatenate((self._pair_keys, new))
+            order = np.argsort(all_keys)
+            self._pair_keys = all_keys[order]
+            self._pair_key_ids = np.concatenate((self._pair_key_ids, ids))[order]
+            idx = np.searchsorted(self._pair_keys, keys)
+        return self._pair_key_ids[idx][inverse]
+
+    def _add_pairs(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Route new pairs (with the ejection hop when modelled) and
+        register them; returns their pair ids."""
+        channels, classes, offsets = self.routes.routes(
+            src, dst, ejection=self.config.model_ejection
+        )
+        first = len(self._pair_hops)
+        if self._bulk:
+            ids = self.engine.add_routes(channels, classes, offsets)
+        else:
+            ids = np.arange(first, first + len(src), dtype=np.int64)
+            ch, cl, off = channels.tolist(), classes.tolist(), offsets.tolist()
+            self._pair_routes.extend(
+                (ch[a:b], cl[a:b]) for a, b in zip(off, off[1:])
+            )
+        self._pair_hops.extend(np.diff(offsets).tolist())
+        self._pair_hot.extend(self._hot_flags(src, dst).tolist())
+        return ids
+
+    def _hot_flags(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Which (source, destination) pairs carry hot-spot messages:
+        those to the hot node from another node."""
         hot_rank = self._hot_rank()
-        is_hot = hot_rank is not None and dest == hot_rank and src != hot_rank
-        if self.config.routing == "adaptive":
+        if hot_rank is None:
+            return np.zeros(len(src), dtype=bool)
+        return (dst == hot_rank) & (src != hot_rank)
+
+    def _hand_over(self, horizon: int) -> int:
+        """Hand the engine the window's arrivals due before ``horizon``;
+        returns the cycle of the next arrival not handed over, or the
+        window's end."""
+        i = self._win_next
+        cycles = self._win_cycle
+        if self._bulk:
+            j = int(np.searchsorted(cycles, horizon))
+            if j > i:
+                first = self._win_first_id
+                self.engine.schedule(
+                    cycles[i:j],
+                    self._win_src[i:j],
+                    self._win_pair[i:j],
+                    self.config.message_length,
+                    np.arange(first + i, first + j),
+                )
+        else:
+            msgs = self._win_msgs
+            j = i
+            while j < len(msgs) and msgs[j][0] < horizon:
+                self.engine.schedule_message(msgs[j][1], self._make_message(j))
+                j += 1
+        self._win_next = j
+        return int(cycles[j]) if j < len(cycles) else self._win_end
+
+    def _make_message(self, i: int) -> Message:
+        """The ``Message`` of window arrival ``i``, for a per-cycle engine."""
+        cycle, _, src, dest, is_hot, pair = self._win_msgs[i]
+        if self._adaptive:
             msg = Message(
-                msg_id=self._msg_seq,
+                msg_id=self._win_first_id + i,
                 src=src,
                 dest=dest,
                 length=self.config.message_length,
-                generated_at=int(arrival_time),
+                generated_at=cycle,
                 route_channels=[0],  # placeholder; chosen below
                 route_classes=[0],
                 is_hot=is_hot,
@@ -196,23 +356,24 @@ class TorusWorkload:
             ch, cls, _ = self._choose_next_hop(msg, 0)
             msg.route_channels[0] = ch
             msg.route_classes[0] = cls
-        else:
-            channels, classes = self.routes.route(src, dest)
-            if self.config.model_ejection:
-                channels = channels + [self._num_network_channels + dest]
-                classes = classes + [0]
-            msg = Message(
-                msg_id=self._msg_seq,
-                src=src,
-                dest=dest,
-                length=self.config.message_length,
-                generated_at=int(arrival_time),
-                route_channels=channels,
-                route_classes=classes,
-                is_hot=is_hot,
-            )
-        self._msg_seq += 1
-        return msg
+            return msg
+        channels, classes = self._pair_routes[pair]
+        return Message(
+            msg_id=self._win_first_id + i,
+            src=src,
+            dest=dest,
+            length=self.config.message_length,
+            generated_at=cycle,
+            route_channels=channels,
+            route_classes=classes,
+            is_hot=is_hot,
+        )
+
+    def stop_arrivals(self) -> None:
+        """Generate no more arrivals and drop those not yet admitted."""
+        self._models = []
+        self._win_next = len(self._win_cycle)
+        self.engine.stop_arrivals()
 
     # ------------------------------------------------------------------
     # Minimal adaptive routing (Duato-style escape; see config.routing)
@@ -276,63 +437,75 @@ class TorusWorkload:
             msg.wrapped_dims |= 1 << d
         return (ch, 1 if (wrapped or at_wrap) else 0, False)
 
-    def _feed_arrivals(self) -> None:
-        """Materialise every arrival due before the next engine cycle."""
-        limit = self.engine.cycle + 1
-        heap = self._arrivals
-        while heap and heap[0][0] < limit:
-            t, src = heapq.heappop(heap)
-            msg = self._make_message(t, src)
-            if msg.generated_at >= self.warmup_end:
-                self.measured_generated += 1
-            self.engine.schedule_message(t, msg)
-            heapq.heappush(
-                heap, (t + self._arrival_models[src].next_gap(), src)
-            )
+    # ------------------------------------------------------------------
+    # Deliveries
+    # ------------------------------------------------------------------
+    def _record_delivery(
+        self, msg_id: int, completion: int, generated: int, hops: int, hot: bool
+    ) -> None:
+        """Fold one delivered message into the statistics (measured
+        deliveries only)."""
+        if completion < self.warmup_end:
+            return
+        latency = completion - generated + 1
+        self.all_stats.record(latency, hops=hops)
+        self.batches.record(latency)
+        if hot:
+            self.hot_stats.record(latency, hops=hops)
+        else:
+            self.regular_stats.record(latency, hops=hops)
 
     def _on_delivery(self, msg: Message, completion_cycle: int) -> None:
-        if completion_cycle < self.warmup_end:
-            return
-        latency = completion_cycle - msg.generated_at + 1
-        self.all_stats.record(latency, hops=msg.num_hops)
-        self.batches.record(latency)
-        if msg.is_hot:
-            self.hot_stats.record(latency, hops=msg.num_hops)
-        else:
-            self.regular_stats.record(latency, hops=msg.num_hops)
+        self._record_delivery(
+            msg.msg_id, completion_cycle, msg.generated_at, msg.num_hops, msg.is_hot
+        )
+
+    def _on_deliveries(self, tags, pairs, generated, completed) -> None:
+        """Replay the span engine's delivery log, in order."""
+        record = self._record_delivery
+        hops, hot = self._pair_hops, self._pair_hot
+        for msg_id, pair, gen, cyc in zip(
+            tags.tolist(), pairs.tolist(), generated.tolist(), completed.tolist()
+        ):
+            record(msg_id, cyc, gen, hops[pair], hot[pair])
 
     # ------------------------------------------------------------------
+    def _snapshot_warmup(self) -> None:
+        counters = self.engine.counters
+        self._flits_at_warmup = self.engine.channel_flit_counts.copy()
+        self._cycles_at_warmup = counters.cycles_run
+        self._generated_at_warmup = counters.generated
+
     def run(self) -> None:
         """Run warmup + measurement (or until saturation abort).
 
-        One loop for every engine: feed the arrivals due this cycle,
-        then let the engine :meth:`advance` to the next arrival cycle,
-        clamped at the warmup edge (so the utilisation snapshot is taken
-        on that cycle even when the network is idle there) and at the
-        end of the run.  The per-cycle engines step one cycle and jump
-        only when idle; the span engine runs the whole span in C.
+        One loop for every engine: open the next arrival window when the
+        engine reaches its end, hand over the arrivals due before the
+        engine's horizon — the window's end for the span engine, the
+        next cycle for the per-cycle engines — and let the engine
+        :meth:`advance` to the next arrival not handed over (or the
+        window's end), clamped at the warmup edge, so the utilisation
+        snapshot is taken on that cycle even when the network is idle
+        there.  A run with no arrivals is an idle network running to
+        the end.
         """
         cfg = self.config
         engine = self.engine
-        if not self._arrivals:
-            self._flits_at_warmup = engine.channel_flit_counts.copy()
-            return
         backlog_limit = int(cfg.saturation_backlog_factor * cfg.num_nodes)
         total = cfg.total_cycles
         target = cfg.target_completions
         warmup_end = self.warmup_end
-        feed = self._feed_arrivals
         advance = engine.advance
         counters = engine.counters
         all_stats = self.all_stats
-        heap = self._arrivals
+        bulk = self._bulk
         while engine.cycle < total:
             cycle = engine.cycle
             if cycle == warmup_end and self._flits_at_warmup is None:
-                self._flits_at_warmup = engine.channel_flit_counts.copy()
-                self._cycles_at_warmup = counters.cycles_run
-            feed()
-            stop = min(int(heap[0][0]), total)
+                self._snapshot_warmup()
+            if cycle >= self._win_end:
+                self._open_window(cycle)
+            stop = self._hand_over(self._win_end if bulk else cycle + 1)
             if cycle < warmup_end < stop:
                 stop = warmup_end
             left = None
@@ -344,8 +517,8 @@ class TorusWorkload:
             if target is not None and all_stats.count >= target:
                 break
         if self._flits_at_warmup is None:
-            self._flits_at_warmup = engine.channel_flit_counts.copy()
-            self._cycles_at_warmup = counters.cycles_run
+            self._snapshot_warmup()
+        self.measured_generated = counters.generated - self._generated_at_warmup
 
     # ------------------------------------------------------------------
     def backlog_saturated(self) -> bool:

@@ -61,9 +61,9 @@ class TestBehaviour:
         w.run()
         c = w.engine.counters
         assert c.generated == c.completed + c.backlog
-        w._arrivals.clear()
+        w.stop_arrivals()
         guard = 0
-        while w.engine.messages:
+        while w.engine.backlog_ids():
             w.engine.step()
             guard += 1
             assert guard < 100_000, "adaptive network failed to drain"

@@ -62,13 +62,13 @@ def run_traced(cfg: SimulationConfig, compiled: bool):
     with nullcontext() if compiled else kernel_hidden():
         w = TorusWorkload(cfg)
     deliveries = []
-    original = w.engine.on_delivery
+    original = w._record_delivery
 
-    def hook(msg, cycle):
-        deliveries.append((msg.msg_id, cycle, msg.generated_at, msg.is_hot))
-        original(msg, cycle)
+    def hook(msg_id, cycle, generated, hops, hot):
+        deliveries.append((msg_id, cycle, generated, hot, hops))
+        original(msg_id, cycle, generated, hops, hot)
 
-    w.engine.on_delivery = hook
+    w._record_delivery = hook
     w.run()
     c = w.engine.counters
     return {
@@ -90,6 +90,13 @@ def assert_identical(ref, soa, label):
         assert ref["mean"] == soa["mean"], label
 
 
+def assert_above_zero_load(trace, cfg):
+    """No message beats its contention-free latency: the header needs
+    one cycle per hop and the tail ``Lm - 1`` more."""
+    for msg_id, cycle, generated, _, hops in trace["deliveries"]:
+        assert cycle - generated + 1 >= hops + cfg.message_length - 1, msg_id
+
+
 def assert_compiled_matches_reference(cfg):
     """The compiled path matches the reference; returns both traces."""
     ref = run_traced(cfg, compiled=False)
@@ -98,6 +105,7 @@ def assert_compiled_matches_reference(cfg):
     if c_kernel_available():
         assert type(run["workload"].engine) is not CycleEngine
     assert_identical(ref, run, f"cfg={cfg}")
+    assert_above_zero_load(ref, cfg)
     return ref, run
 
 
@@ -232,12 +240,45 @@ class TestSpanPinned:
         if c_kernel_available():
             engine = run["workload"].engine
             assert isinstance(engine, SpanEngine)
-            assert len(engine._rec_msg) > span._INITIAL_RECORDS
+            assert engine.record_capacity > span._INITIAL_RECORDS
+
+    def test_idle_network_jumps_to_the_next_arrival(self):
+        # 1e-4 on 16 nodes: the network is empty almost always, and the
+        # span kernel jumps from arrival to arrival instead of stepping.
+        cfg = replace(self.BASE, rate=1e-4, measure_cycles=100_000)
+        _, run = assert_compiled_matches_reference(cfg)
+        engine = run["workload"].engine
+        if c_kernel_available():
+            assert isinstance(engine, SpanEngine)
+            assert engine.cycles_stepped * 20 < engine.counters.cycles_run
+
+    def test_many_windows(self):
+        # A window spans about backlog_limit / (N * rate) cycles: 80
+        # here, so the run crosses about 40 windows, the warmup edge
+        # inside one of them.
+        cfg = replace(self.BASE, rate=1e-2, saturation_backlog_factor=0.8,
+                      hotspot_fraction=0.1)
+        ref, run = assert_compiled_matches_reference(cfg)
+        assert ref["workload"]._window_cycles == 80
+        assert not ref["workload"].backlog_saturated()
+
+    def test_many_windows_with_ejection_and_gap_blocks(self):
+        # Several 256-gap blocks per source, with ejection channels and
+        # a backlog exit in the middle of a window.
+        cfg = replace(self.BASE, k=3, n=1, model_ejection=True, rate=0.13,
+                      message_length=2, measure_cycles=6_000,
+                      saturation_backlog_factor=4.0)
+        for run in assert_compiled_matches_reference(cfg):
+            w = run["workload"]
+            generated = run["counters"][0]
+            assert generated > 3 * 256
+            assert w.backlog_saturated()
+            assert generated < w._win_first_id + len(w._win_cycle)
 
 
 @requires_kernel
 class TestSpanEngineDirect:
-    """The span engine driven through its engine interface: input checks,
+    """The span engine driven through its bulk interface: input checks,
     and hand-built scenarios for orderings random workloads rarely hit,
     replayed on the reference engine."""
 
@@ -246,49 +287,108 @@ class TestSpanEngineDirect:
             num_channels=4, num_vcs=2, buffer_depth=2, num_sources=num_sources
         )
 
-    def _message(self, src, channels, msg_id=0, dest=1, length=2, classes=None):
+    def _routed(self, engine, channels, classes=None):
+        """``engine`` with the one route ``channels`` registered."""
+        engine.add_routes(channels, classes or [0] * len(channels),
+                          [0, len(channels)])
+        return engine
+
+    def _replay_span(self, engine, specs):
+        """Schedule ``specs`` at cycle 0 and step until all are delivered."""
+        log = []
+        engine.on_deliveries = lambda tags, routes, gen, cycles: log.extend(
+            zip(tags.tolist(), cycles.tolist())
+        )
+        routes = []
+        for src, channels, classes, length in specs:
+            routes.extend(engine.add_routes(channels, classes,
+                                            [0, len(channels)]).tolist())
+        engine.schedule(
+            [0] * len(specs), [spec[0] for spec in specs], routes,
+            [spec[3] for spec in specs], range(len(specs)),
+        )
+        while len(log) < len(specs):
+            engine.step()
+            assert engine.cycle < 10_000
+        return log
+
+    def _replay_reference(self, engine, specs):
         from repro.simulator.flit import Message
 
-        return Message(
-            msg_id=msg_id, src=src, dest=dest, length=length, generated_at=0,
-            route_channels=channels,
-            route_classes=classes or [0] * len(channels),
-            is_hot=False,
-        )
-
-    def _replay(self, engine, specs):
-        """Schedule ``specs`` at cycle 0 and step until all are delivered."""
         log = []
         engine.on_delivery = lambda msg, cycle: log.append((msg.msg_id, cycle))
         for i, (src, channels, classes, length) in enumerate(specs):
-            engine.schedule_message(
-                0.0,
-                self._message(src, channels, msg_id=i, dest=100 + i,
-                              length=length, classes=classes),
-            )
+            engine.schedule_message(0.0, Message(
+                msg_id=i, src=src, dest=100 + i, length=length,
+                generated_at=0, route_channels=channels,
+                route_classes=classes, is_hot=False,
+            ))
         while len(log) < len(specs):
             engine.step()
             assert engine.cycle < 10_000
         return log
 
     def _assert_matches_reference(self, specs, num_sources):
-        got = self._replay(self._engine(num_sources), specs)
-        ref = self._replay(
+        got = self._replay_span(self._engine(num_sources), specs)
+        ref = self._replay_reference(
             CycleEngine(num_channels=4, num_vcs=2, buffer_depth=2), specs
         )
         assert got == ref
 
     def test_source_out_of_range_rejected(self):
+        engine = self._routed(self._engine(), [0])
         with pytest.raises(ValueError, match="source"):
-            self._engine().schedule_message(0.0, self._message(2, [0]))
+            engine.schedule([0], [2], [0], 2, [0])
 
     def test_route_off_the_network_rejected(self):
         with pytest.raises(ValueError, match="leaves the network"):
-            self._engine().schedule_message(0.0, self._message(0, [0, 4]))
+            self._routed(self._engine(), [0, 4])
 
     def test_arrival_not_due_rejected(self):
+        engine = self._routed(self._engine(), [0])
+        engine.step()
         with pytest.raises(ValueError, match="not due"):
-            self._engine().schedule_message(1.5, self._message(0, [0]))
+            engine.schedule([0], [0], [0], 2, [0])
+        with pytest.raises(ValueError, match="not due"):
+            engine.schedule([3, 2], [0, 0], [0, 0], 2, [0, 1])
+
+    def test_arrivals_admitted_at_their_own_cycles(self):
+        # One call runs a window of arrivals: each is admitted at its
+        # cycle, the empty network jumps from arrival to arrival, and
+        # the call still ends at the stop.
+        specs = [(0, [0, 1], [0, 0], 3), (1, [2], [0], 2), (0, [0], [0], 4)]
+        cycles = [5, 40, 41]
+        engine = self._engine()
+        log = []
+        engine.on_deliveries = lambda tags, routes, gen, cyc: log.extend(
+            zip(tags.tolist(), gen.tolist(), cyc.tolist())
+        )
+        routes = [
+            int(engine.add_routes(ch, cl, [0, len(ch)])[0])
+            for _, ch, cl, _ in specs
+        ]
+        engine.schedule(cycles, [s[0] for s in specs], routes,
+                        [s[3] for s in specs], [7, 8, 9])
+        engine.advance(1_000)
+        assert engine.cycle == 1_000
+        assert engine.counters.cycles_run == 1_000
+        assert engine.cycles_stepped < 30
+        ref = CycleEngine(num_channels=4, num_vcs=2, buffer_depth=2)
+        expected = []
+        ref.on_delivery = lambda msg, cycle: expected.append(
+            (msg.msg_id, msg.generated_at, cycle)
+        )
+        from repro.simulator.flit import Message
+
+        for tag, cycle, (src, ch, cl, length) in zip([7, 8, 9], cycles, specs):
+            ref.schedule_message(float(cycle), Message(
+                msg_id=tag, src=src, dest=9, length=length,
+                generated_at=cycle, route_channels=ch, route_classes=cl,
+                is_hot=False,
+            ))
+        while len(expected) < 3:
+            ref.step()
+        assert log == expected
 
     def test_mid_pass_request_joins_the_pass(self):
         # Source 0's head waits on channel 0 behind a message of source
@@ -318,15 +418,15 @@ class TestSpanEngineDirect:
         )
 
     def test_burst_outgrows_records_while_admitting(self):
-        # 200 arrivals in one cycle: the record table grows with
-        # admissions still pending, and the deliveries match the
-        # reference engine fed the same messages.
+        # 200 arrivals in one cycle: the record table grows while they
+        # are written, and the deliveries match the reference engine fed
+        # the same messages.
         specs = [(i % 2, [i % 2, 2 + i % 2], [0, 0], 2) for i in range(200)]
         engine = self._engine()
-        got = self._replay(engine, specs)
-        assert len(engine._rec_msg) > span._INITIAL_RECORDS
+        got = self._replay_span(engine, specs)
+        assert engine.record_capacity > span._INITIAL_RECORDS
         ref = CycleEngine(num_channels=4, num_vcs=2, buffer_depth=2)
-        assert got == self._replay(ref, specs)
+        assert got == self._replay_reference(ref, specs)
         assert engine.counters.flit_moves == ref.counters.flit_moves
 
 
@@ -387,9 +487,9 @@ class TestSoAInternals:
         w = TorusWorkload(cfg)
         assert type(w.engine) is SoACycleEngine
         w.run()
-        w._arrivals.clear()
+        w.stop_arrivals()
         guard = 0
-        while w.engine.messages:
+        while w.engine.backlog_ids():
             w.engine.step()
             guard += 1
             assert guard < 100_000

@@ -18,9 +18,9 @@ from repro.simulator.network import TorusWorkload
 
 
 def drain(workload, guard=200_000):
-    workload._arrivals.clear()
+    workload.stop_arrivals()
     steps = 0
-    while workload.engine.messages:
+    while workload.engine.backlog_ids():
         workload.engine.step()
         steps += 1
         assert steps < guard, "network failed to drain"
@@ -57,11 +57,11 @@ class TestEngineInvariants:
         c = w.engine.counters
         assert c.generated == c.completed + c.backlog
         drain(w)
-        # Queued messages live in engine.messages too, so a full drain
+        # Queued messages are part of the backlog too, so a full drain
         # implies empty source queues and zero backlog.
-        assert not w.engine.messages
+        assert not w.engine.backlog_ids()
         assert w.engine.counters.backlog == 0
-        assert not w.engine.queued_messages()
+        assert not w.engine.queued_ids()
         assert not w.engine.held_vcs()
         for ch in range(w.engine.num_channels):
             assert sorted(w.engine.free_vcs(ch)) == list(range(cfg.num_vcs))

@@ -55,9 +55,9 @@ class TestBidirectional:
     def test_no_vc_leak(self):
         w = TorusWorkload(replace(BASE, bidirectional=True, rate=5e-4))
         w.run()
-        w._arrivals.clear()
+        w.stop_arrivals()
         guard = 0
-        while w.engine.messages:
+        while w.engine.backlog_ids():
             w.engine.step()
             guard += 1
             assert guard < 50_000

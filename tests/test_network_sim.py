@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.simulator import Simulation, SimulationConfig
+from repro.simulator import Simulation, SimulationConfig, kernel
 from repro.simulator.network import TorusWorkload
+from repro.topology import DimensionOrderRouter
 from repro.traffic.patterns import TransposePattern
 
 
@@ -25,11 +26,11 @@ BASE = SimulationConfig(
 def assert_conserved(engine):
     c = engine.counters
     assert c.generated == c.completed + c.backlog
-    # Admission puts a message in engine.messages *and* in its source
+    # Admission puts a message in the backlog *and* in its source
     # queue, so queued messages are a subset of the backlog, not extra.
-    assert c.backlog == len(engine.messages)
-    for msg in engine.queued_messages():
-        assert engine.messages[msg.msg_id] is msg
+    backlog = engine.backlog_ids()
+    assert c.backlog == len(backlog)
+    assert set(engine.queued_ids()) <= set(backlog)
 
 
 class TestConservation:
@@ -42,7 +43,7 @@ class TestConservation:
         w = TorusWorkload(replace(BASE, rate=0.2))
         w.run()
         assert w.backlog_saturated()
-        assert w.engine.queued_messages()
+        assert w.engine.queued_ids()
         assert_conserved(w.engine)
 
     def test_flit_moves_equal_length_times_hops(self):
@@ -64,9 +65,9 @@ class TestConservation:
         w = TorusWorkload(cfg)
         w.run()
         # Run on without new arrivals until in-flight messages drain.
-        w._arrivals.clear()
+        w.stop_arrivals()
         guard = 0
-        while w.engine.messages:
+        while w.engine.backlog_ids():
             w.engine.step()
             guard += 1
             assert guard < 50_000
@@ -87,6 +88,32 @@ class TestStatisticsSanity:
         # Nearly contention-free: latency ~ Lm + hops - 1.
         expected = BASE.message_length + res.mean_hops - 1
         assert res.mean_latency == pytest.approx(expected, rel=0.08)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_zero_load_mean_is_exact(self, seed):
+        # Nearly no contention at 1e-4: the batch-means mean must sit on
+        # the exact zero-load mean Lm - 1 + (1/N) sum_s sum_d p(s,d)
+        # hops(s,d) = 10.2 cycles, within 3 half-widths of its 95% CI
+        # (seeds 1-6 land between -0.4 and +1.8 half-widths).
+        cfg = SimulationConfig(
+            k=4, message_length=8, rate=1e-4, hotspot_fraction=0.2,
+            warmup_cycles=1_000, measure_cycles=400_000, seed=seed,
+        )
+        sim = Simulation(cfg)
+        w = sim.workload
+        router = DimensionOrderRouter(w.network)
+        n = w.network.num_nodes
+        mean_hops = sum(
+            p * router.route(w.network.unrank(s), w.network.unrank(d)).num_hops
+            for s in range(n)
+            for d, p in enumerate(w.pattern.destination_probabilities(s))
+            if p
+        ) / n
+        exact = cfg.message_length - 1 + mean_hops
+        assert exact == pytest.approx(10.2)
+        sim.run()
+        mean, ci = w.batches.mean(), w.batches.confidence_interval(0.95)
+        assert abs(mean - exact) <= 3 * ci
 
     def test_channel_utilization_matches_rate_equation(self):
         """Measured per-channel flit utilisation must equal
@@ -126,11 +153,22 @@ class TestStatisticsSanity:
         assert sim.workload._cycles_at_warmup == cfg.warmup_cycles
         assert res.max_channel_utilization == pytest.approx(0.028, abs=5e-4)
 
-    def test_zero_rate(self):
-        res = Simulation(replace(BASE, rate=0.0)).run()
-        assert res.num_completed == 0
-        assert math.isnan(res.mean_latency)
-        assert not res.saturated
+    def test_zero_rate(self, monkeypatch):
+        # No arrivals is an idle network running to the end: the whole
+        # window counts, and the utilisation snapshot is taken at the
+        # warmup edge, on the compiled and on the reference path.
+        cfg = replace(BASE, rate=0.0)
+        for hide_kernel in (False, True):
+            if hide_kernel:
+                monkeypatch.setattr(kernel, "_loaded", None)
+                monkeypatch.setattr(kernel, "_load_attempted", True)
+            sim = Simulation(cfg)
+            res = sim.run()
+            assert res.num_completed == 0
+            assert math.isnan(res.mean_latency)
+            assert not res.saturated
+            assert res.cycles_run == cfg.total_cycles
+            assert sim.workload._cycles_at_warmup == cfg.warmup_cycles
 
 
 class TestHotSpotWorkload:

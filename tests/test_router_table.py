@@ -2,10 +2,43 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.simulator.router import RouteTable
 from repro.topology import DimensionOrderRouter, KAryNCube
+
+
+def oracle_route(net, src_rank, dest_rank):
+    """Dimension-order route built hop by hop: the reference for the
+    vectorised :meth:`RouteTable.routes`."""
+    k, n = net.k, net.n
+    dirs = 2 if net.bidirectional else 1
+    src, dst = net.unrank(src_rank), net.unrank(dest_rank)
+    channels, classes = [], []
+    cur_rank = src_rank
+    for dim in range(n):
+        coord = src[dim]
+        fwd = (dst[dim] - coord) % k
+        if fwd == 0:
+            continue
+        if net.bidirectional and (k - fwd) < fwd:
+            step, hops, bit, wrap = -1, k - fwd, 1, 0
+        else:
+            step, hops, bit, wrap = +1, fwd, 0, k - 1
+        place = k ** (n - 1 - dim)
+        cls = 0
+        for _ in range(hops):
+            # The wrap hop (k-1 -> 0 forwards, 0 -> k-1 backwards) and
+            # everything after it in this ring use dateline class 1.
+            if coord == wrap:
+                cls = 1
+            channels.append((cur_rank * n + dim) * dirs + bit)
+            classes.append(cls)
+            new_coord = (coord + step) % k
+            cur_rank += (new_coord - coord) * place
+            coord = new_coord
+    return channels, classes
 
 
 @pytest.fixture
@@ -97,3 +130,50 @@ class TestRoutes:
             ref = router.route(net.unrank(s), net.unrank(d))
             assert len(channels) == ref.num_hops
             assert classes == [h.vc_class for h in ref.hops]
+
+
+class TestVectorisedRoutes:
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_pair_matches_the_per_hop_oracle(self, n, bidirectional):
+        for k in range(2, 8):
+            net = KAryNCube(k=k, n=n, bidirectional=bidirectional)
+            table = RouteTable(net)
+            pairs = [
+                (s, d)
+                for s, d in itertools.product(range(net.num_nodes), repeat=2)
+                if s != d
+            ]
+            src = np.array([s for s, _ in pairs])
+            dst = np.array([d for _, d in pairs])
+            ref = [oracle_route(net, s, d) for s, d in pairs]
+            ch, cl, off = table.routes(src, dst)
+            assert off.tolist() == [0] + list(
+                itertools.accumulate(len(c) for c, _ in ref)
+            )
+            assert ch.tolist() == [c for r, _ in ref for c in r], (k, n)
+            assert cl.tolist() == [c for _, r in ref for c in r], (k, n)
+            # Ejection appends the destination's ejection channel.
+            ch, cl, off = table.routes(src, dst, ejection=True)
+            eject = [
+                (r + [table.num_channels + d], c + [0])
+                for (r, c), (_, d) in zip(ref, pairs)
+            ]
+            assert off.tolist() == [0] + list(
+                itertools.accumulate(len(c) for c, _ in eject)
+            )
+            assert ch.tolist() == [c for r, _ in eject for c in r], (k, n)
+            assert cl.tolist() == [c for _, r in eject for c in r], (k, n)
+
+    def test_route_answers_from_routes(self, table):
+        for s, d in [(0, 5), (15, 0), (6, 9)]:
+            channels, classes, _ = table.routes([s], [d])
+            assert table.route(s, d) == (channels.tolist(), classes.tolist())
+
+    def test_bad_pairs_rejected(self, table):
+        with pytest.raises(ValueError, match="itself"):
+            table.routes([0, 3], [1, 3])
+        with pytest.raises(ValueError, match="out of range"):
+            table.routes([0], [16])
+        ch, cl, off = table.routes([], [])
+        assert ch.size == cl.size == 0 and off.tolist() == [0]
