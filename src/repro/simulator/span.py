@@ -439,10 +439,6 @@ class SpanEngine:
         """Cycles simulated one by one, not jumped over while idle."""
         return int(self._io[_STEPPED])
 
-    @property
-    def record_capacity(self) -> int:
-        return self._capacity
-
     # ------------------------------------------------------------------
     # Inspection (tests)
     # ------------------------------------------------------------------

@@ -60,22 +60,22 @@ class HeapSchedule:
         self.heap = [(s.next_gap(), src) for src, s in enumerate(self.streams)]
         heapq.heapify(self.heap)
 
+    def pop(self):
+        """The next arrival ``(time, source, destination)``."""
+        t, src = heapq.heappop(self.heap)
+        dst = self.pattern.draw(src, self.rng)
+        heapq.heappush(self.heap, (t + self.streams[src].next_gap(), src))
+        return t, src, dst
+
     def until(self, end):
-        """Every arrival before ``end``: ``(times, sources, destinations)``."""
+        """Every arrival before ``end``."""
         out = []
-        while self.heap and self.heap[0][0] < end:
-            t, src = heapq.heappop(self.heap)
-            out.append((t, src, self.pattern.draw(src, self.rng)))
-            heapq.heappush(self.heap, (t + self.streams[src].next_gap(), src))
+        while self.heap[0][0] < end:
+            out.append(self.pop())
         return out
 
     def first(self, count):
-        out = []
-        while len(out) < count:
-            t, src = heapq.heappop(self.heap)
-            out.append((t, src, self.pattern.draw(src, self.rng)))
-            heapq.heappush(self.heap, (t + self.streams[src].next_gap(), src))
-        return out
+        return [self.pop() for _ in range(count)]
 
 
 def window_arrivals(w):

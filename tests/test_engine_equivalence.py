@@ -240,7 +240,7 @@ class TestSpanPinned:
         if c_kernel_available():
             engine = run["workload"].engine
             assert isinstance(engine, SpanEngine)
-            assert engine.record_capacity > span._INITIAL_RECORDS
+            assert engine._capacity > span._INITIAL_RECORDS
 
     def test_idle_network_jumps_to_the_next_arrival(self):
         # 1e-4 on 16 nodes: the network is empty almost always, and the
@@ -424,7 +424,7 @@ class TestSpanEngineDirect:
         specs = [(i % 2, [i % 2, 2 + i % 2], [0, 0], 2) for i in range(200)]
         engine = self._engine()
         got = self._replay_span(engine, specs)
-        assert engine.record_capacity > span._INITIAL_RECORDS
+        assert engine._capacity > span._INITIAL_RECORDS
         ref = CycleEngine(num_channels=4, num_vcs=2, buffer_depth=2)
         assert got == self._replay_reference(ref, specs)
         assert engine.counters.flit_moves == ref.counters.flit_moves
