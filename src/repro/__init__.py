@@ -30,7 +30,6 @@ from repro.core import (
     FixedPointSolver,
     FixedPointStatus,
     HotSpotLatencyModel,
-    HypercubeHotSpotModel,
     LatencyBreakdown,
     ModelResult,
     NDimHotSpotModel,
@@ -56,7 +55,6 @@ __all__ = [
     "HotSpotLatencyModel",
     "UniformLatencyModel",
     "NDimHotSpotModel",
-    "HypercubeHotSpotModel",
     "BlockingServicePolicy",
     "ExponentialArrivals",
     "OnOffArrivals",

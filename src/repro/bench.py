@@ -79,11 +79,9 @@ def bench_sim_config(quick: bool = False) -> SimulationConfig:
     )
 
 
-def bench_model(kernel: str = "auto") -> HotSpotLatencyModel:
+def bench_model() -> HotSpotLatencyModel:
     """The standard model-throughput benchmark instance."""
-    return HotSpotLatencyModel(
-        k=16, message_length=32, hotspot_fraction=0.4, kernel=kernel
-    )
+    return HotSpotLatencyModel(k=16, message_length=32, hotspot_fraction=0.4)
 
 
 def bench_model_rates() -> "np.ndarray":
@@ -165,14 +163,14 @@ def measure_simulator(
     }
 
 
-def measure_model(*, rounds: int = 3, kernel: str = "auto") -> Dict[str, object]:
+def measure_model(*, rounds: int = 3) -> Dict[str, object]:
     """Best-of-``rounds`` analytical-model evaluation throughput.
 
     Times *independent single-rate solves* — the cost every
     ``saturation_rate`` probe and every cold evaluation pays; the
     batched figure-panel path is measured by :func:`measure_model_batch`.
     """
-    model = bench_model(kernel)
+    model = bench_model()
     best = float("inf")
     for _ in range(max(1, rounds)):
         t0 = time.perf_counter()
@@ -180,22 +178,18 @@ def measure_model(*, rounds: int = 3, kernel: str = "auto") -> Dict[str, object]
             result = model.evaluate(2e-4)
         best = min(best, time.perf_counter() - t0)
     assert result.finite
-    return {
-        "solves_per_sec": _MODEL_EVALS / best,
-        "seconds": best,
-        "kernel": model.kernel,
-    }
+    return {"solves_per_sec": _MODEL_EVALS / best, "seconds": best}
 
 
-def measure_model_batch(*, rounds: int = 3, kernel: str = "auto") -> Dict[str, object]:
+def measure_model_batch(*, rounds: int = 3) -> Dict[str, object]:
     """Best-of-``rounds`` throughput of a panel-shaped batched sweep.
 
     One :meth:`HotSpotLatencyModel.sweep` over the standard panel grid
-    (:func:`bench_model_rates`) per timing round — with the vector
-    kernel the whole grid is a single batched fixed-point solve with
-    warm-start chaining, so this is the figure-regeneration metric.
+    (:func:`bench_model_rates`) per timing round — the whole grid is a
+    single batched fixed-point solve with warm-start chaining, so this
+    is the figure-regeneration metric.
     """
-    model = bench_model(kernel)
+    model = bench_model()
     rates = bench_model_rates()
     best = float("inf")
     for _ in range(max(1, rounds)):
@@ -207,7 +201,6 @@ def measure_model_batch(*, rounds: int = 3, kernel: str = "auto") -> Dict[str, o
         "points_per_sec": len(rates) / best,
         "points": int(len(rates)),
         "seconds": best,
-        "kernel": model.kernel,
     }
 
 
@@ -351,10 +344,10 @@ def check_regression(
 
     Gates on the two throughput metrics this repository's perf work
     targets — simulator cycles/sec and analytical-model solves/sec: a
-    drop below ``baseline / max_slowdown`` on either fails.  Engine,
-    model-kernel or quick-mode mismatches are flagged as incomparable
-    rather than silently passed.  Returns an empty list when the report
-    is acceptable.
+    drop below ``baseline / max_slowdown`` on either fails.  Engine or
+    quick-mode mismatches are flagged as incomparable rather than
+    silently passed.  Returns an empty list when the report is
+    acceptable.
     """
     failures: List[str] = []
     try:
@@ -388,16 +381,6 @@ def check_regression(
     except (KeyError, TypeError, ValueError):
         failures.append("baseline or report is missing model.solves_per_sec")
         return failures
-    new_kernel = report["model"].get("kernel")  # type: ignore[index]
-    old_kernel = baseline["model"].get("kernel")  # type: ignore[index]
-    # Pre-kernel baselines (no "kernel" field) timed the only (scalar)
-    # implementation there was; only flag a mismatch when both sides
-    # declare a kernel.
-    if new_kernel is not None and old_kernel is not None and new_kernel != old_kernel:
-        failures.append(
-            f"model-kernel mismatch between report ({new_kernel}) and "
-            f"baseline ({old_kernel}): numbers are not comparable"
-        )
     if new_m * max_slowdown < old_m:
         failures.append(
             f"model throughput regressed >{max_slowdown:g}x: "

@@ -419,7 +419,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     batch = report["model_batch"]
     print(
-        f"model [{model['kernel']}]: {model['solves_per_sec']:,.1f} solves/s; "
+        f"model: {model['solves_per_sec']:,.1f} solves/s; "
         f"batched panel ({batch['points']} pts): "
         f"{batch['points_per_sec']:,.1f} points/s"
     )

@@ -12,20 +12,19 @@
   ``h = 0`` degenerate case, cross-checking against the classic
   deterministic-routing models the paper builds on).
 * :mod:`~repro.core.ndim` — the n-dimensional generalisation the paper
-  sketches ("can be easily extended").
+  sketches ("can be easily extended"); at ``k = 2`` it is the binary
+  hypercube of the paper's predecessor model.
 """
 
 from repro.core.model import BlockingServicePolicy, HotSpotLatencyModel
 from repro.core.results import LatencyBreakdown, ModelResult, SweepPoint, SweepResult
 from repro.core.uniform import UniformLatencyModel
 from repro.core.ndim import NDimHotSpotModel
-from repro.core.hypercube import HypercubeHotSpotModel
 from repro.core.fixed_point import FixedPointSolver, FixedPointStatus
 
 __all__ = [
     "HotSpotLatencyModel",
     "BlockingServicePolicy",
-    "HypercubeHotSpotModel",
     "UniformLatencyModel",
     "NDimHotSpotModel",
     "ModelResult",

@@ -1,9 +1,12 @@
 """Pure-function forms of the paper's model equations.
 
-Everything in this module is stateless: the fixed-point solver in
-:mod:`repro.core.model` wires these functions together.  Keeping them
-free-standing makes each equation unit-testable against first-principles
-enumeration (see ``tests/test_equations.py``).
+Everything in this module is stateless.  :mod:`repro.core.model`
+builds its zero-load state from these functions and evaluates the same
+recurrences as whole-grid cumulative sums; the per-channel reference
+oracle of ``tests/test_model_kernel_equivalence.py`` wires them
+together one channel at a time.  Keeping them free-standing makes each
+equation unit-testable against first-principles enumeration (see
+``tests/test_equations.py``).
 
 Naming: the paper's 2-D torus has dimensions x (crossed first) and y;
 the *hot y-ring* is the column containing the hot-spot node.  Messages

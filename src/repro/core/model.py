@@ -24,85 +24,46 @@ where every message of a class is charged the *entrance* service time
 ``S_{.,k}`` of the full k-channel ring pipeline (see DESIGN.md §4).
 Both variants use the same fixed point; only the aggregation differs.
 
-Model kernels
--------------
-Two interchangeable implementations of the hot path exist, selected by
-the ``kernel`` constructor argument / the ``REPRO_MODEL_KERNEL``
-environment variable:
-
-``vector`` (default)
-    Array-native: the per-iteration blocking grids, service-time
-    recurrences and the latency aggregation are whole-grid numpy
-    expressions, and :meth:`HotSpotLatencyModel.evaluate_batch` solves
-    *many* offered loads in one batched fixed-point sweep
-    (:meth:`~repro.core.fixed_point.FixedPointSolver.solve_batch`) with
-    per-point convergence/saturation masking and warm-start chaining
-    along the rate axis — a whole figure panel is one solve.
-``scalar``
-    The original per-channel Python loops, kept as the reference
-    oracle; ``tests/test_model_kernel_equivalence.py`` pins the two
-    kernels against each other.
+Array-native evaluation
+-----------------------
+The per-iteration blocking grids, service-time recurrences and the
+latency aggregation are whole-grid numpy expressions, and
+:meth:`HotSpotLatencyModel.evaluate_batch` solves *many* offered loads
+in one batched fixed-point sweep
+(:meth:`~repro.core.fixed_point.FixedPointSolver.solve_batch`) with
+per-point convergence/saturation masking and warm-start chaining along
+the rate axis — a whole figure panel is one solve.  ``evaluate``,
+``sweep`` and ``saturation_rate`` all run through it.  The original
+per-channel Python loops are the reference oracle of
+``tests/test_model_kernel_equivalence.py``, which pins this code
+against them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.equations import (
     PathProbabilities,
-    chained_service_profile,
     hot_x_service_profile,
     hot_y_service_profile,
     regular_service_profile,
 )
-from repro.core.fixed_point import (
-    FixedPointSolver,
-    FixedPointStatus,
-    solve_batch_with_fallback,
-)
+from repro.core.fixed_point import FixedPointSolver, solve_batch_with_fallback
 from repro.core.results import LatencyBreakdown, ModelResult, SweepPoint, SweepResult
-from repro.queueing.blocking import BlockingInputs, blocking_delay, blocking_delay_raw
+from repro.queueing.blocking import blocking_delay_raw
 from repro.queueing.mg1 import mg1_waiting_time
 from repro.queueing.vc_multiplexing import multiplexing_degree
-from repro.traffic.rates import HotSpotRates
 
 __all__ = [
     "HotSpotLatencyModel",
     "BlockingServicePolicy",
-    "resolve_model_kernel",
     "batched_saturation_search",
 ]
-
-_MODEL_KERNELS = ("auto", "scalar", "vector")
-
-
-def resolve_model_kernel(requested: str = "auto") -> str:
-    """Resolve the analytical-model kernel: ``scalar`` or ``vector``.
-
-    ``requested`` (normally a constructor argument) wins over the
-    ``REPRO_MODEL_KERNEL`` environment variable; ``auto`` defers to the
-    environment and defaults to ``vector``.  Raises :class:`ValueError`
-    naming the offending source on anything else.
-    """
-    req = (requested or "auto").strip().lower() or "auto"
-    if req not in _MODEL_KERNELS:
-        raise ValueError(
-            f"model kernel must be one of {_MODEL_KERNELS}, got {requested!r}"
-        )
-    if req != "auto":
-        return req
-    env = os.environ.get("REPRO_MODEL_KERNEL", "auto").strip().lower() or "auto"
-    if env not in _MODEL_KERNELS:
-        raise ValueError(
-            f"REPRO_MODEL_KERNEL must be one of {_MODEL_KERNELS}, got {env!r}"
-        )
-    return "vector" if env == "auto" else env
 
 
 def batched_saturation_search(model, lo: float, hi: float, tol: float, probes: int = 12) -> float:
@@ -111,9 +72,9 @@ def batched_saturation_search(model, lo: float, hi: float, tol: float, probes: i
     Each round evaluates ``probes`` interior rates of the current
     bracket as one ``evaluate_batch`` call and narrows the bracket to
     the first saturated probe, shrinking it ``probes + 1``-fold — the
-    multi-point replacement for scalar bisection, with the same
-    contract: returns the saturated end of a final bracket no wider
-    than ``tol * max(1, hi)``.
+    multi-point form of bisection, with its contract: returns the
+    saturated end of a final bracket no wider than
+    ``tol * max(1, hi)``.
     """
     if not model.evaluate(hi).saturated:
         raise ValueError(f"upper bound {hi} does not saturate the model")
@@ -167,45 +128,6 @@ class BlockingServicePolicy(enum.Enum):
     ENTRANCE = "entrance"
 
 
-@dataclass(frozen=True)
-class _FixedPointView:
-    """Typed view over the solver's flat state vector."""
-
-    s_x_entry: float
-    s_hy_entry: float
-    s_hybar_entry: float
-    s_hot_y: np.ndarray  # shape (k-1,), index j-1
-    s_hot_x: np.ndarray  # shape (k-1, k), index (j-1, t-1)
-
-    @staticmethod
-    def unpack(state: np.ndarray, k: int) -> "_FixedPointView":
-        hot_y = state[3 : 3 + (k - 1)]
-        hot_x = state[3 + (k - 1) :].reshape(k - 1, k)
-        return _FixedPointView(
-            s_x_entry=float(state[0]),
-            s_hy_entry=float(state[1]),
-            s_hybar_entry=float(state[2]),
-            s_hot_y=hot_y,
-            s_hot_x=hot_x,
-        )
-
-    @staticmethod
-    def pack(
-        s_x_entry: float,
-        s_hy_entry: float,
-        s_hybar_entry: float,
-        s_hot_y: np.ndarray,
-        s_hot_x: np.ndarray,
-    ) -> np.ndarray:
-        return np.concatenate(
-            [
-                np.array([s_x_entry, s_hy_entry, s_hybar_entry]),
-                np.asarray(s_hot_y, dtype=float).ravel(),
-                np.asarray(s_hot_x, dtype=float).ravel(),
-            ]
-        )
-
-
 class HotSpotLatencyModel:
     """Mean-latency model for hot-spot traffic in a 2-D unidirectional torus.
 
@@ -229,11 +151,6 @@ class HotSpotLatencyModel:
         with simulation.  ``False``: the literal text's dimension-
         entrance value ``S_{.,k}`` (a constant ~``k - k̄`` overestimate;
         kept for the ablation benchmark).
-    kernel:
-        ``"vector"`` (default via ``auto``): whole-grid numpy equations
-        and batched multi-rate solves.  ``"scalar"``: the original
-        per-channel loop implementation, kept as the reference oracle.
-        ``"auto"`` follows ``REPRO_MODEL_KERNEL``.
     solver:
         Optional custom fixed-point solver.
 
@@ -257,7 +174,6 @@ class HotSpotLatencyModel:
         *,
         trip_averaging: bool = True,
         blocking_service: BlockingServicePolicy | str = BlockingServicePolicy.TRANSMISSION,
-        kernel: str = "auto",
         solver: Optional[FixedPointSolver] = None,
     ) -> None:
         if k < 3:
@@ -282,177 +198,31 @@ class HotSpotLatencyModel:
         if isinstance(blocking_service, str):
             blocking_service = BlockingServicePolicy(blocking_service)
         self.blocking_service = blocking_service
-        self.kernel = resolve_model_kernel(kernel)
         self.solver = solver or FixedPointSolver(
             tol=1e-10, max_iterations=5_000, damping=0.5
         )
         self.probabilities = PathProbabilities(k=self.k)
-        # Constant competing-service grids of the TRANSMISSION policy
-        # (position k carries no hot traffic), shared by every batched
-        # update of the vector kernel.
-        tx = float(self.message_length + 1)
-        self._tx_comp_y = np.full(self.k, tx)
-        self._tx_comp_y[self.k - 1] = 0.0
-        self._tx_comp_x = np.full((self.k, self.k), tx)
-        self._tx_comp_x[self.k - 1, :] = 0.0
-        # The same grids in the packed channel layout of the batched
+        # Constant competing services of the TRANSMISSION policy in the
+        # packed channel layout of the batched update, shared by every
         # update: [hybar | hy positions 1..k | x grid (k, k) row-major].
-        self._tx_comp_packed = np.concatenate(
-            [[0.0], self._tx_comp_y, self._tx_comp_x.ravel()]
-        )
+        # Position k carries no hot traffic.
+        tx = float(self.message_length + 1)
+        comp_y = np.full(self.k, tx)
+        comp_y[self.k - 1] = 0.0
+        comp_x = np.full((self.k, self.k), tx)
+        comp_x[self.k - 1, :] = 0.0
+        self._tx_comp_packed = np.concatenate([[0.0], comp_y, comp_x.ravel()])
 
     # ------------------------------------------------------------------
-    # Fixed point
+    # Fixed point: whole-grid equations over a (points, ...) batch
     # ------------------------------------------------------------------
-    def _hot_holding_times(
-        self, s_hot_y: np.ndarray, s_hot_x: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Channel-holding times of hot-spot messages (see DESIGN.md §4).
-
-        A message holds a channel from header acquisition until its tail
-        crosses: the holding time is its remaining service *after*
-        acquiring the channel, ``S_{.,j} - B_j = 1 + S_{.,j-1}`` — the
-        wait to acquire the channel itself is spent upstream and must not
-        be charged to this channel's utilisation.  Feeding the full
-        ``S_{.,j}`` (own blocking included) into eq (27) instead creates
-        a self-referential blow-up that saturates the model at roughly
-        half the load the paper's own figures reach, so the holding time
-        is the reconstruction consistent with the published curves.
-
-        Returns hold times padded to position ``k`` (rate there is zero).
-        """
-        k, lm = self.k, self.message_length
-        hold_y = np.empty(k)
-        hold_y[0] = 1.0 + lm
-        hold_y[1 : k - 1] = 1.0 + s_hot_y[: k - 2]
-        hold_y[k - 1] = 0.0  # position k carries no hot traffic
-        hold_x = np.empty((k, k))
-        hold_x[0, : k - 1] = 1.0 + s_hot_y  # chain into y at distance t
-        hold_x[0, k - 1] = 1.0 + lm  # hot row: delivers
-        hold_x[1 : k - 1, :] = 1.0 + s_hot_x[: k - 2, :]
-        hold_x[k - 1, :] = 0.0  # position k carries no hot traffic
-        return hold_y, hold_x
-
-    def _competing_services(
-        self, v: "_FixedPointView"
-    ) -> Tuple[float, float, float, np.ndarray, np.ndarray]:
-        """Service times charged to competing traffic in blocking terms.
-
-        Returns ``(reg_x, reg_hy, reg_hybar, hot_y[k], hot_x[k, k])``
-        according to :class:`BlockingServicePolicy`.
-        """
-        k, lm = self.k, self.message_length
-        policy = self.blocking_service
-        if policy is BlockingServicePolicy.TRANSMISSION:
-            tx = float(lm + 1)
-            hot_y = np.full(k, tx)
-            hot_y[k - 1] = 0.0  # no hot traffic leaves the hot node
-            hot_x = np.full((k, k), tx)
-            hot_x[k - 1, :] = 0.0
-            return tx, tx, tx, hot_y, hot_x
-        if policy is BlockingServicePolicy.HOLDING:
-            hold_y, hold_x = self._hot_holding_times(v.s_hot_y, v.s_hot_x)
-            return v.s_x_entry, v.s_hy_entry, v.s_hybar_entry, hold_y, hold_x
-        # ENTRANCE: the literal recurrence values.
-        hot_y = np.append(v.s_hot_y, 0.0)
-        hot_x = np.vstack([v.s_hot_x, np.zeros(k)])
-        return v.s_x_entry, v.s_hy_entry, v.s_hybar_entry, hot_y, hot_x
-
     def _zero_load_state(self) -> np.ndarray:
         k, lm = self.k, self.message_length
-        prof = regular_service_profile(k, 0.0, lm)
+        entry = regular_service_profile(k, 0.0, lm)[-1]
         hot_y = hot_y_service_profile(k, np.zeros(k - 1), lm)
         hot_x = hot_x_service_profile(k, np.zeros((k - 1, k)), hot_y, lm)
-        return _FixedPointView.pack(prof[-1], prof[-1], prof[-1], hot_y, hot_x)
+        return np.concatenate([[entry, entry, entry], hot_y, hot_x.ravel()])
 
-    def _update(self, rates: HotSpotRates, state: np.ndarray) -> np.ndarray:
-        k, lm = self.k, self.message_length
-        v = _FixedPointView.unpack(state, k)
-        lam_r = rates.channel.regular_rate
-        hot_x_rates = rates.hot_rates_x()  # index j-1, j = 1..k (j=k entry 0)
-        hot_y_rates = rates.hot_rates_y()
-
-        # Competing-traffic service times per the blocking policy.
-        reg_x, reg_hy, reg_hybar, comp_y, comp_x = self._competing_services(v)
-
-        # Eq (16): non-hot y-rings carry only regular traffic.
-        b_hybar = blocking_delay(BlockingInputs(lam_r, 0.0, reg_hybar, 0.0), lm)
-        # Eq (17): hot-ring blocking averaged over the k positions.
-        b_hy_terms = [
-            blocking_delay(
-                BlockingInputs(
-                    lam_r, float(hot_y_rates[l]), reg_hy, float(comp_y[l])
-                ),
-                lm,
-            )
-            for l in range(k)
-        ]
-        b_hy = float(np.mean(b_hy_terms))
-        # Eqs (18-20): x-channel blocking averaged over the k x k
-        # (ring t, position l) grid.
-        b_x_terms = np.empty((k, k))  # [l, t]
-        for l in range(k):
-            for t in range(k):
-                b_x_terms[l, t] = blocking_delay(
-                    BlockingInputs(
-                        lam_r,
-                        float(hot_x_rates[l]),
-                        reg_x,
-                        float(comp_x[l, t]),
-                    ),
-                    lm,
-                )
-        b_x = float(np.mean(b_x_terms))
-
-        if not (math.isfinite(b_hybar) and math.isfinite(b_hy) and math.isfinite(b_x)):
-            return np.full_like(state, np.inf)
-
-        prof_x = regular_service_profile(k, b_x, lm)
-        prof_hy = regular_service_profile(k, b_hy, lm)
-        prof_hybar = regular_service_profile(k, b_hybar, lm)
-
-        # Eq (23): hot messages in the hot ring see position-dependent
-        # blocking.
-        b_hot_y = np.array(
-            [
-                blocking_delay(
-                    BlockingInputs(
-                        lam_r,
-                        float(hot_y_rates[j]),
-                        reg_hy,
-                        float(comp_y[j]),
-                    ),
-                    lm,
-                )
-                for j in range(k - 1)
-            ]
-        )
-        # Eq (25): per (j, t) blocking for hot messages crossing x.
-        b_hot_x = np.empty((k - 1, k))
-        for j in range(k - 1):
-            for t in range(k):
-                b_hot_x[j, t] = blocking_delay(
-                    BlockingInputs(
-                        lam_r,
-                        float(hot_x_rates[j]),
-                        reg_x,
-                        float(comp_x[j, t]),
-                    ),
-                    lm,
-                )
-        if not (np.all(np.isfinite(b_hot_y)) and np.all(np.isfinite(b_hot_x))):
-            return np.full_like(state, np.inf)
-
-        new_hot_y = hot_y_service_profile(k, b_hot_y, lm)
-        new_hot_x = hot_x_service_profile(k, b_hot_x, new_hot_y, lm)
-
-        return _FixedPointView.pack(
-            prof_x[-1], prof_hy[-1], prof_hybar[-1], new_hot_y, new_hot_x
-        )
-
-    # ------------------------------------------------------------------
-    # Vector kernel: whole-grid equations over a (points, ...) batch
-    # ------------------------------------------------------------------
     def _batch_rates(
         self, rates: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -474,7 +244,14 @@ class HotSpotLatencyModel:
     def _unpack_batch(
         states: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Views ``(s_x, s_hy, s_hybar, s_hot_y, s_hot_x)`` of a batch."""
+        """Views ``(s_x, s_hy, s_hybar, s_hot_y, s_hot_x)`` of a batch.
+
+        Each state row is ``[S_x, S_hy, S_hybar | S^h_y | S^h_x]``: the
+        entrance service times of the three regular path families, then
+        the hot profile of the hot y-ring (``k - 1`` values, index
+        ``j - 1``) and of the x-rings (``(k - 1, k)`` row-major, index
+        ``(j - 1, t - 1)``).
+        """
         n_points = states.shape[0]
         return (
             states[:, 0],
@@ -487,16 +264,30 @@ class HotSpotLatencyModel:
     def _hot_holding_times_batch(
         self, s_hot_y: np.ndarray, s_hot_x: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`_hot_holding_times` — shapes (P, k), (P, k, k)."""
+        """Channel-holding times of hot-spot messages (see DESIGN.md §4).
+
+        A message holds a channel from header acquisition until its tail
+        crosses: the holding time is its remaining service *after*
+        acquiring the channel, ``S_{.,j} - B_j = 1 + S_{.,j-1}`` — the
+        wait to acquire the channel itself is spent upstream and must not
+        be charged to this channel's utilisation.  Feeding the full
+        ``S_{.,j}`` (own blocking included) into eq (27) instead creates
+        a self-referential blow-up that saturates the model at roughly
+        half the load the paper's own figures reach, so the holding time
+        is the reconstruction consistent with the published curves.
+
+        Returns hold times of shapes ``(P, k)`` and ``(P, k, k)``, padded
+        to position ``k`` (rate there is zero).
+        """
         k, lm = self.k, self.message_length
         n_points = s_hot_y.shape[0]
         hold_y = np.empty((n_points, k))
         hold_y[:, 0] = 1.0 + lm
         hold_y[:, 1 : k - 1] = 1.0 + s_hot_y[:, : k - 2]
-        hold_y[:, k - 1] = 0.0
+        hold_y[:, k - 1] = 0.0  # position k carries no hot traffic
         hold_x = np.empty((n_points, k, k))
-        hold_x[:, 0, : k - 1] = 1.0 + s_hot_y
-        hold_x[:, 0, k - 1] = 1.0 + lm
+        hold_x[:, 0, : k - 1] = 1.0 + s_hot_y  # chain into y at distance t
+        hold_x[:, 0, k - 1] = 1.0 + lm  # hot row: delivers
         hold_x[:, 1 : k - 1, :] = 1.0 + s_hot_x[:, : k - 2, :]
         hold_x[:, k - 1, :] = 0.0
         return hold_y, hold_x
@@ -522,7 +313,14 @@ class HotSpotLatencyModel:
     def _packed_competing_services(
         self, states: np.ndarray, holding: Optional[Tuple[np.ndarray, np.ndarray]] = None
     ) -> Tuple:
-        """Batched :meth:`_competing_services` in the packed layout.
+        """Service times charged to competing traffic in blocking terms.
+
+        Per :class:`BlockingServicePolicy`: ``TRANSMISSION`` charges
+        every class its transmission time ``Lm + 1``; ``HOLDING``
+        charges the regular classes their entrance values and the hot
+        classes their holding times (:meth:`_hot_holding_times_batch`);
+        ``ENTRANCE`` charges every class its literal recurrence value.
+        Position ``k`` carries no hot traffic and is charged nothing.
 
         Returns ``(s_lam, s_gam)`` broadcastable against the packed
         ``(P, 1 + k + k^2)`` channel grid — the single batched
@@ -568,7 +366,7 @@ class HotSpotLatencyModel:
         lam_r: np.ndarray,
         gam_all: np.ndarray,
     ) -> np.ndarray:
-        """Batched :meth:`_update`: one fixed-point step for every row.
+        """One fixed-point step for every row of a batch.
 
         All blocking terms of an update — eqs 16-20, 23 and 25 across
         every channel family and position — evaluate as *one*
@@ -593,7 +391,7 @@ class HotSpotLatencyModel:
         # Eqs (23) and (25): the position-dependent blocking of the hot
         # classes at positions 1..k-1 coincides with the per-position
         # regular terms (same rates, same competing services), so the
-        # grids are slices — the scalar oracle recomputes them instead.
+        # grids are slices (the test oracle recomputes them per channel).
         b_hot_y = b_hy_terms[:, : k - 1]
         b_hot_x = b_x_flat.reshape(n_points, k, k)[:, : k - 1, :]
 
@@ -616,7 +414,11 @@ class HotSpotLatencyModel:
     def _channel_multiplexing_batch(
         self, lam, gam, s_lam, s_gam
     ) -> np.ndarray:
-        """Batched :meth:`_channel_multiplexing` over broadcast grids."""
+        """V̄ at channels shared by the two classes (text above eq 36).
+
+        Elementwise over broadcast grids; a channel with no traffic has
+        ``V̄ = 1``.
+        """
         total = np.asarray(lam + gam)
         with np.errstate(divide="ignore", invalid="ignore"):
             s_bar = (lam * s_lam + gam * s_gam) / np.where(total == 0.0, 1.0, total)
@@ -636,8 +438,8 @@ class HotSpotLatencyModel:
         """Batched latency aggregation (eqs 10-15, 21-24, 31-37).
 
         ``states`` rows must be converged fixed points; rows whose
-        source-queue waits diverge still come back saturated, exactly
-        like the scalar path.  The converged blocking delays are
+        source-queue waits diverge still come back saturated.  The
+        converged blocking delays are
         recomputed once on the same packed channel grid the update loop
         uses (the state stores only entrance values for the regular
         classes).
@@ -789,7 +591,11 @@ class HotSpotLatencyModel:
         return results
 
     def _class_latency_batch(self, profiles: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_class_latency` over ``(P, k)`` profiles."""
+        """Latency charged to a class from its ``(P, k)`` service profiles.
+
+        Literal mode: the entrance value ``S_{.,k}``.  Averaged mode: the
+        mean over the uniform 1..k-1 trip-length distribution.
+        """
         if self.trip_averaging:
             return np.mean(profiles[:, : self.k - 1], axis=1)
         return profiles[:, -1]
@@ -804,19 +610,18 @@ class HotSpotLatencyModel:
     ) -> List[ModelResult]:
         """Evaluate many offered loads in one batched fixed-point solve.
 
-        The vector-kernel workhorse behind :meth:`evaluate`,
-        :meth:`sweep` and :meth:`saturation_rate`: all points iterate
-        simultaneously as a 2-D ``(points, variables)`` state with
-        per-point convergence/saturation masking; ``chain`` adds
-        warm-start chaining along the (assumed ordered) rate axis in
-        waves of ``wave`` points.  Any warm-seeded point that fails is
-        re-solved from the cold zero-load start — identical fallback
-        semantics to the scalar :meth:`evaluate` warm start, so no load
-        a cold evaluation resolves is ever reported saturated.
+        The workhorse behind :meth:`evaluate`, :meth:`sweep` and
+        :meth:`saturation_rate`: all points iterate simultaneously as a
+        2-D ``(points, variables)`` state with per-point
+        convergence/saturation masking; ``chain`` adds warm-start
+        chaining along the (assumed ordered) rate axis in waves of
+        ``wave`` points.  Any warm-seeded point that fails is re-solved
+        from the cold zero-load start, so no load a cold evaluation
+        resolves is ever reported saturated.
 
         ``initials`` optionally warm-starts individual points (entries
         may be ``None``); zero-rate points always use the exact
-        zero-load state, like the scalar path.  Note that ``chain=True``
+        zero-load state.  Note that ``chain=True``
         re-seeds every row past the first wave from converged
         neighbours, replacing caller-supplied initials there — pass
         ``chain=False`` (as :meth:`evaluate` does) when the initials
@@ -897,18 +702,8 @@ class HotSpotLatencyModel:
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    # Aggregation
+    # Evaluation, sweeps and saturation
     # ------------------------------------------------------------------
-    def _class_latency(self, profile: np.ndarray) -> float:
-        """Latency charged to a class from its service-time profile.
-
-        Literal mode: the entrance value ``S_{.,k}``.  Averaged mode: the
-        mean over the uniform 1..k-1 trip-length distribution.
-        """
-        if self.trip_averaging:
-            return float(np.mean(profile[: self.k - 1]))
-        return float(profile[-1])
-
     def evaluate(
         self, rate: float, *, initial: Optional[np.ndarray] = None
     ) -> ModelResult:
@@ -918,248 +713,22 @@ class HotSpotLatencyModel:
         the offered load has no steady state under the model.
 
         ``initial`` warm-starts the fixed-point solve — pass the
-        ``fixed_point_state`` of a previous result at a nearby rate (as
-        :meth:`sweep` does) to converge in a handful of iterations
-        instead of hundreds.  A warm start can only improve convergence:
-        if the warm-started solve fails, the evaluation falls back to
-        the cold zero-load start, so no load a cold evaluation resolves
-        is ever reported saturated.  The one asymmetry is the borderline
-        load whose cold solve exhausts the iteration budget: a warm
-        start may legitimately converge there (the fixed point exists —
-        the cold "saturated" verdict was a budget artefact).
+        ``fixed_point_state`` of a previous result at a nearby rate to
+        converge in a handful of iterations instead of hundreds.  A warm
+        start can only improve convergence: if the warm-started solve
+        fails, the evaluation falls back to the cold zero-load start, so
+        no load a cold evaluation resolves is ever reported saturated.
+        The one asymmetry is the borderline load whose cold solve
+        exhausts the iteration budget: a warm start may legitimately
+        converge there (the fixed point exists — the cold "saturated"
+        verdict was a budget artefact).
         """
-        if self.kernel == "vector":
-            return self.evaluate_batch(
-                [rate],
-                initials=None if initial is None else [initial],
-                chain=False,
-            )[0]
-        if rate < 0:
-            raise ValueError(f"rate must be non-negative, got {rate}")
-        k, lm, h, vcs = self.k, self.message_length, self.h, self.num_vcs
-        n_nodes = self.num_nodes
-        rates = HotSpotRates(k, rate, h)
-        lam_r = rates.channel.regular_rate
-        hot_x_rates = rates.hot_rates_x()
-        hot_y_rates = rates.hot_rates_y()
+        return self.evaluate_batch(
+            [rate],
+            initials=None if initial is None else [initial],
+            chain=False,
+        )[0]
 
-        cold_start = self._zero_load_state()
-        if initial is not None:
-            initial = np.asarray(initial, dtype=float)
-            if initial.shape != cold_start.shape:
-                raise ValueError(
-                    f"initial state has shape {initial.shape}, "
-                    f"expected {cold_start.shape}"
-                )
-
-        if rate == 0.0:
-            state = cold_start
-            fp_iterations = 0
-        else:
-            result = self.solver.solve(
-                lambda s: self._update(rates, s),
-                cold_start if initial is None else initial,
-            )
-            fp_iterations = result.iterations
-            if result.status is not FixedPointStatus.CONVERGED and initial is not None:
-                result = self.solver.solve(
-                    lambda s: self._update(rates, s), cold_start
-                )
-                fp_iterations += result.iterations
-            if result.status is not FixedPointStatus.CONVERGED:
-                return ModelResult(
-                    rate=rate,
-                    latency=math.inf,
-                    saturated=True,
-                    iterations=fp_iterations,
-                )
-            state = result.state
-
-        v = _FixedPointView.unpack(state, k)
-        probs = self.probabilities
-
-        # Recompute the converged blocking delays once to obtain the full
-        # profiles (the state stores only entrance values for the regular
-        # classes).
-        reg_x, reg_hy, reg_hybar, comp_y, comp_x = self._competing_services(v)
-        hold_y, hold_x = self._hot_holding_times(v.s_hot_y, v.s_hot_x)
-        b_hybar = blocking_delay(BlockingInputs(lam_r, 0.0, reg_hybar, 0.0), lm)
-        b_hy = float(
-            np.mean(
-                [
-                    blocking_delay(
-                        BlockingInputs(
-                            lam_r,
-                            float(hot_y_rates[l]),
-                            reg_hy,
-                            float(comp_y[l]),
-                        ),
-                        lm,
-                    )
-                    for l in range(k)
-                ]
-            )
-        )
-        b_x_grid = np.empty((k, k))
-        for l in range(k):
-            for t in range(k):
-                b_x_grid[l, t] = blocking_delay(
-                    BlockingInputs(
-                        lam_r,
-                        float(hot_x_rates[l]),
-                        reg_x,
-                        float(comp_x[l, t]),
-                    ),
-                    lm,
-                )
-        b_x = float(np.mean(b_x_grid))
-        prof_x = regular_service_profile(k, b_x, lm)
-        prof_hy = regular_service_profile(k, b_hy, lm)
-        prof_hybar = regular_service_profile(k, b_hybar, lm)
-        s_hy_latency = self._class_latency(prof_hy)
-        s_hybar_latency = self._class_latency(prof_hybar)
-        prof_xhy = chained_service_profile(k, b_x, s_hy_latency)
-        prof_xhybar = chained_service_profile(k, b_x, s_hybar_latency)
-        s_x_latency = self._class_latency(prof_x)
-        s_xhy_latency = self._class_latency(prof_xhy)
-        s_xhybar_latency = self._class_latency(prof_xhybar)
-
-        # Eq (15): x-entering network latency including path weights.
-        t_x = probs.p_enter_x * (
-            probs.p_x_only_given_x * s_x_latency
-            + probs.p_x_to_hot_given_x * s_xhy_latency
-            + probs.p_x_to_nonhot_given_x * s_xhybar_latency
-        )
-        # Eq (31): regular network latency seen at any source.
-        s_r_network = (
-            t_x
-            + probs.p_hot_y_only * s_hy_latency
-            + probs.p_nonhot_y_only * s_hybar_latency
-        )
-
-        # --- Virtual-channel multiplexing (eqs 33-37) -------------------
-        v_hybar = multiplexing_degree(lam_r, v.s_hybar_entry, vcs)
-        v_hy_pos = np.array(
-            [
-                self._channel_multiplexing(
-                    lam_r, float(hot_y_rates[j]), v.s_hy_entry, float(hold_y[j])
-                )
-                for j in range(k)
-            ]
-        )
-        v_hy = float(np.mean(v_hy_pos))  # eq (36)
-        v_x_grid = np.empty((k, k))  # [j, t]
-        for j in range(k):
-            for t in range(k):
-                v_x_grid[j, t] = self._channel_multiplexing(
-                    lam_r,
-                    float(hot_x_rates[j]),
-                    v.s_x_entry,
-                    float(hold_x[j, t]),
-                )
-        v_x = float(np.mean(v_x_grid))  # eq (37)
-
-        # --- Source queue waiting times (eq 32) --------------------------
-        lam_vc = rate / vcs
-        # Hot node: generates only regular traffic; hot-ring sources at
-        # distance j = 1..k-1; remaining sources at (j = 1..k-1, t = 1..k)
-        # — one broadcast M/G/1 call per source family.
-        wait_hot_node = mg1_waiting_time(lam_vc, s_r_network, lm)
-        wait_hot_ring = mg1_waiting_time(
-            lam_vc, (1.0 - h) * s_r_network + h * v.s_hot_y, lm
-        )
-        wait_x = mg1_waiting_time(
-            lam_vc, (1.0 - h) * s_r_network + h * v.s_hot_x, lm
-        )
-        wait_terms = np.concatenate(
-            [[wait_hot_node], wait_hot_ring, wait_x.ravel()]
-        )
-        if not np.all(np.isfinite(wait_terms)):
-            return ModelResult(
-                rate=rate, latency=math.inf, saturated=True, iterations=fp_iterations
-            )
-        ws_r = float(np.mean(wait_terms))
-
-        # --- Regular latency (eqs 11-15) ---------------------------------
-        reg_hot_ring = probs.p_hot_y_only * (s_hy_latency + ws_r) * v_hy
-        reg_nonhot_ring = probs.p_nonhot_y_only * (s_hybar_latency + ws_r) * v_hybar
-        reg_enter_x = (t_x + probs.p_enter_x * ws_r) * v_x
-        s_r = reg_hot_ring + reg_nonhot_ring + reg_enter_x
-
-        # --- Hot-spot latency (eqs 21-24) ---------------------------------
-        denom = n_nodes - 1
-        hot_y_sum = 0.0
-        for j in range(k - 1):
-            hot_y_sum += (
-                float(v.s_hot_y[j]) + float(wait_hot_ring[j])
-            ) * float(v_hy_pos[j])
-        s_h_y = hot_y_sum / denom
-        hot_x_sum = 0.0
-        for j in range(k - 1):
-            for t in range(k):
-                hot_x_sum += (
-                    float(v.s_hot_x[j, t]) + float(wait_x[j, t])
-                ) * float(v_x_grid[j, t])
-        s_h_x = hot_x_sum / denom
-        s_h = s_h_y + s_h_x
-
-        latency = (1.0 - h) * s_r + h * s_h  # eq (10)
-
-        breakdown = LatencyBreakdown(
-            regular_hot_ring=reg_hot_ring,
-            regular_nonhot_ring=reg_nonhot_ring,
-            regular_enter_x=reg_enter_x,
-            hot_from_hot_ring=s_h_y,
-            hot_from_x=s_h_x,
-            regular_source_wait=ws_r,
-            regular_network_latency=s_r_network,
-        )
-        return ModelResult(
-            rate=rate,
-            latency=float(latency),
-            saturated=False,
-            iterations=fp_iterations,
-            breakdown=breakdown,
-            mean_multiplexing_x=v_x,
-            mean_multiplexing_hot_ring=v_hy,
-            mean_multiplexing_nonhot_ring=v_hybar,
-            max_utilization=self._max_utilization(rates, v),
-            fixed_point_state=state.copy(),
-        )
-
-    def _channel_multiplexing(
-        self, lam: float, gam: float, s_lam: float, s_gam: float
-    ) -> float:
-        """V̄ at a channel shared by the two classes (text above eq 36)."""
-        total = lam + gam
-        if total == 0.0:
-            return 1.0
-        s_bar = (lam * s_lam + gam * s_gam) / total
-        return multiplexing_degree(total, s_bar, self.num_vcs)
-
-    def _max_utilization(self, rates: HotSpotRates, v: _FixedPointView) -> float:
-        """Largest channel utilisation of the converged solution."""
-        k = self.k
-        lam_r = rates.channel.regular_rate
-        hot_y_rates = rates.hot_rates_y()
-        hot_x_rates = rates.hot_rates_x()
-        reg_x, reg_hy, reg_hybar, comp_y, comp_x = self._competing_services(v)
-        util = lam_r * reg_hybar
-        for j in range(k):
-            util = max(
-                util,
-                lam_r * reg_hy + float(hot_y_rates[j]) * float(comp_y[j]),
-            )
-            for t in range(k):
-                util = max(
-                    util,
-                    lam_r * reg_x + float(hot_x_rates[j]) * float(comp_x[j, t]),
-                )
-        return float(util)
-
-    # ------------------------------------------------------------------
-    # Sweeps
-    # ------------------------------------------------------------------
     def sweep(
         self,
         rates: "np.ndarray | list[float]",
@@ -1169,34 +738,18 @@ class HotSpotLatencyModel:
     ) -> SweepResult:
         """Evaluate the model over a grid of per-node rates.
 
-        With ``warm_start`` (the default) each point's solve starts from
-        a converged state at a nearby rate — adjacent grid rates have
-        nearby fixed points, so the total iteration count of a figure
-        sweep drops severalfold while every point converges (to solver
-        tolerance) on the same fixed point as a cold solve.  The vector
-        kernel solves the whole grid as *one* batched fixed point with
-        warm-start chaining along the rate axis; the scalar kernel
-        chains the points sequentially.
+        The whole grid is *one* batched fixed-point solve.  With
+        ``warm_start`` (the default) it chains warm starts along the
+        rate axis — adjacent grid rates have nearby fixed points, so the
+        total iteration count of a figure sweep drops severalfold while
+        every point converges (to solver tolerance) on the same fixed
+        point as a cold solve.
         """
         out = SweepResult(label=label)
-        if self.kernel == "vector":
-            for res in self.evaluate_batch(rates, chain=warm_start):
-                out.points.append(
-                    SweepPoint(
-                        rate=res.rate,
-                        latency=res.latency,
-                        saturated=res.saturated,
-                        iterations=res.iterations,
-                    )
-                )
-            return out
-        state: Optional[np.ndarray] = None
-        for r in rates:
-            res = self.evaluate(float(r), initial=state if warm_start else None)
-            state = res.fixed_point_state
+        for res in self.evaluate_batch(rates, chain=warm_start):
             out.points.append(
                 SweepPoint(
-                    rate=float(r),
+                    rate=res.rate,
                     latency=res.latency,
                     saturated=res.saturated,
                     iterations=res.iterations,
@@ -1210,22 +763,10 @@ class HotSpotLatencyModel:
         """Smallest rate at which the model saturates (bracketing search).
 
         ``hi`` must saturate; the default upper bound of 1 message/cycle
-        per node saturates any realistic configuration.  The scalar
-        kernel bisects one evaluation at a time; the vector kernel
-        evaluates a whole probe grid inside the bracket per round as one
-        batched solve, shrinking the bracket ~13x per round instead of
-        2x.  Both return the saturated end of the final bracket, so the
-        result agrees to the same ``tol``.
+        per node saturates any realistic configuration.  Each round
+        evaluates a whole probe grid inside the bracket as one batched
+        solve (:func:`batched_saturation_search`), shrinking the bracket
+        ~13x per round, and the saturated end of the final bracket is
+        returned.
         """
-        if self.kernel == "vector":
-            return batched_saturation_search(self, lo, hi, tol)
-        if not self.evaluate(hi).saturated:
-            raise ValueError(f"upper bound {hi} does not saturate the model")
-        lo_rate, hi_rate = lo, hi
-        while hi_rate - lo_rate > tol * max(1.0, hi_rate):
-            mid = 0.5 * (lo_rate + hi_rate)
-            if self.evaluate(mid).saturated:
-                hi_rate = mid
-            else:
-                lo_rate = mid
-        return hi_rate
+        return batched_saturation_search(self, lo, hi, tol)

@@ -40,6 +40,14 @@ for ``n = 2`` it *approximates* — closely, but not bit-for-bit —
 :class:`~repro.core.model.HotSpotLatencyModel`; the agreement and the
 divergence under load are characterised in ``tests/test_ndim.py`` and
 the ablation benchmarks.
+
+At ``k = 2`` the model is the binary hypercube of the paper's
+predecessor model (its ref [12], Loucif & Ould-Khaoua, J. Supercomputing
+2004): e-cube routing corrects one bit per dimension, the
+dimension-``i`` hot-path channel carries ``lam * h * 2**i`` (the
+``k - j`` factor is 1), and a regular message crosses ``n/2`` channels
+on average (eq 2 with ``k̄ = 1/2``).  ``tests/test_hypercube.py``
+checks it against the simulator's ``SimulationConfig(k=2, n=...)``.
 """
 
 from __future__ import annotations
@@ -286,6 +294,19 @@ class NDimHotSpotModel:
             mean_multiplexing_nonhot_ring=v_bar,
             max_utilization=float(lam_r * (lm + 1)),
         )
+
+    def saturation_rate(self, hi: float = 0.5, tol: float = 1e-7) -> float:
+        """Smallest saturated rate (bisection); ``hi`` must saturate."""
+        if not self.evaluate(hi).saturated:
+            raise ValueError(f"upper bound {hi} does not saturate the model")
+        lo_rate, hi_rate = 0.0, hi
+        while hi_rate - lo_rate > tol * max(1.0, hi_rate):
+            mid = 0.5 * (lo_rate + hi_rate)
+            if self.evaluate(mid).saturated:
+                hi_rate = mid
+            else:
+                lo_rate = mid
+        return hi_rate
 
     def sweep(self, rates, label: str = "ndim-model") -> SweepResult:
         out = SweepResult(label=label)

@@ -14,6 +14,11 @@ Two uses:
   baseline for ``n = 2`` (tested in ``tests/test_model.py``);
 * the "what did hot-spots change" comparisons in the examples and
   ablation benchmarks.
+
+Like the hot-spot model, it evaluates every load through one batched
+fixed-point solve (:meth:`UniformLatencyModel.evaluate_batch`); the
+per-dimension Python loops it replaced are the reference oracle of
+``tests/test_model_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -23,14 +28,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.equations import chained_service_profile, regular_service_profile
-from repro.core.fixed_point import (
-    FixedPointSolver,
-    FixedPointStatus,
-    solve_batch_with_fallback,
-)
+from repro.core.fixed_point import FixedPointSolver, solve_batch_with_fallback
 from repro.core.results import ModelResult, SweepPoint, SweepResult
-from repro.queueing.blocking import BlockingInputs, blocking_delay, blocking_delay_raw
+from repro.queueing.blocking import blocking_delay_raw
 from repro.queueing.mg1 import mg1_waiting_time
 from repro.queueing.vc_multiplexing import multiplexing_degree
 
@@ -65,7 +65,6 @@ class UniformLatencyModel:
         *,
         trip_averaging: bool = True,
         blocking_service: "BlockingServicePolicy | str" = "transmission",
-        kernel: str = "auto",
         solver: Optional[FixedPointSolver] = None,
     ) -> None:
         if k < 3:
@@ -82,17 +81,15 @@ class UniformLatencyModel:
         self.message_length = int(message_length)
         self.num_vcs = int(num_vcs)
         self.trip_averaging = bool(trip_averaging)
-        from repro.core.model import BlockingServicePolicy, resolve_model_kernel
+        from repro.core.model import BlockingServicePolicy
 
         if isinstance(blocking_service, str):
             blocking_service = BlockingServicePolicy(blocking_service)
         self.blocking_service = blocking_service
-        # Cached policy decision: the vector kernel branches on this in
-        # its fixed-point hot loop.
+        # Cached policy decision: the fixed-point hot loop branches on it.
         self.blocking_service_is_transmission = (
             blocking_service is BlockingServicePolicy.TRANSMISSION
         )
-        self.kernel = resolve_model_kernel(kernel)
         self.solver = solver or FixedPointSolver(
             tol=1e-10, max_iterations=5_000, damping=0.5
         )
@@ -102,62 +99,13 @@ class UniformLatencyModel:
         """Channel rate per unit generation rate: ``(k-1)/2``."""
         return (self.k - 1) / 2.0
 
-    def _competing_service(self, entry: float) -> float:
+    def _competing_service_batch(self, entries: np.ndarray):
         """Service time charged to competing traffic per the policy.
 
         Under uniform traffic there is a single class, so HOLDING and
-        ENTRANCE coincide on the entrance value; TRANSMISSION charges the
-        bandwidth occupancy ``Lm + 1``.
+        ENTRANCE coincide on the ``(P, n)`` entrance values;
+        TRANSMISSION charges the bandwidth occupancy ``Lm + 1``.
         """
-        from repro.core.model import BlockingServicePolicy
-
-        if self.blocking_service is BlockingServicePolicy.TRANSMISSION:
-            return float(self.message_length + 1)
-        return entry
-
-    def _class_latency(self, profile: np.ndarray) -> float:
-        if self.trip_averaging:
-            return float(np.mean(profile[: self.k - 1]))
-        return float(profile[-1])
-
-    def _entrance_times(self, rate: float, entries: np.ndarray) -> np.ndarray:
-        """One update of the per-dimension entrance service times.
-
-        ``entries[i]`` is the previous iterate of dimension i's entrance
-        service time (used as the competing traffic's service time in the
-        blocking term of dimension i).
-        """
-        k, lm = self.k, self.message_length
-        lam_r = rate * self.regular_rate_factor
-        new = np.empty(self.n)
-        # Walk dimensions from the last (terminates at the PE) backwards.
-        next_entry: float | None = None
-        for i in reversed(range(self.n)):
-            b = blocking_delay(
-                BlockingInputs(lam_r, 0.0, self._competing_service(float(entries[i])), 0.0),
-                lm,
-            )
-            if not math.isfinite(b):
-                return np.full(self.n, np.inf)
-            if next_entry is None:
-                prof = regular_service_profile(k, b, lm)
-            else:
-                # A message that continues past dimension i uses each later
-                # dimension with probability (k-1)/k; the expected
-                # continuation is the weighted mix of draining (Lm) and the
-                # next dimension's entrance time.
-                p_use = (k - 1.0) / k
-                tail = p_use * next_entry + (1.0 - p_use) * lm
-                prof = chained_service_profile(k, b, tail)
-            new[i] = prof[-1]
-            next_entry = self._class_latency(prof) if self.trip_averaging else prof[-1]
-        return new
-
-    # ------------------------------------------------------------------
-    # Vector kernel: batched entrance times and evaluation
-    # ------------------------------------------------------------------
-    def _competing_service_batch(self, entries: np.ndarray):
-        """Batched :meth:`_competing_service` over ``(P, n)`` entries."""
         if self.blocking_service_is_transmission:
             return float(self.message_length + 1)
         return entries
@@ -168,10 +116,9 @@ class UniformLatencyModel:
         """Per-dimension class latencies and entrance times for a batch.
 
         ``b`` is the ``(P, n)`` per-dimension blocking grid.  Walks the
-        dimensions from the last (terminates at the PE) backwards,
-        exactly like the scalar recurrence, but with every point of the
-        batch advanced per numpy step.  Returns ``(entrances (P, n),
-        class_latencies (P, n))``.
+        dimensions from the last (terminates at the PE) backwards, with
+        every point of the batch advanced per numpy step.  Returns
+        ``(entrances (P, n), class_latencies (P, n))``.
         """
         k, lm, n = self.k, self.message_length, self.n
         n_points = b.shape[0]
@@ -201,11 +148,13 @@ class UniformLatencyModel:
     def _entrance_times_batch(
         self, lam_r: np.ndarray, states: np.ndarray
     ) -> np.ndarray:
-        """Batched :meth:`_entrance_times`: one update for every row.
+        """One update of the per-dimension entrance service times.
 
-        Saturated rows carry ``inf`` (the infinite blocking delay
-        propagates through the backward chain); the batched solver
-        retires them.
+        Row ``states[p, i]`` is the previous iterate of dimension i's
+        entrance service time (used as the competing traffic's service
+        time in the blocking term of dimension i).  Saturated rows carry
+        ``inf`` (the infinite blocking delay propagates through the
+        backward chain); the batched solver retires them.
         """
         entrances, _ = self._profiles_batch(self._blocking_batch(lam_r, states))
         return entrances
@@ -298,10 +247,14 @@ class UniformLatencyModel:
             _, class_lat = self._profiles_batch(
                 self._blocking_batch(lam_r[agg_rows], entries)
             )
-            # Entry weights (1/k)^i (1 - 1/k), normalised.
+            # Network latency: a message enters at its first non-matching
+            # dimension, with weight (1/k)^i (1 - 1/k), normalised.
             p_skip = 1.0 / k
             weights = (p_skip ** np.arange(self.n)) * (1.0 - p_skip)
             network = class_lat @ weights / weights.sum()
+            # V-bar uses the unchained single-dimension entrance time (the
+            # last dimension's entry, k(1+B)+Lm) — the convention the 2-D
+            # hot-spot model inherits from the paper's eqs 36-37.
             v_bar = multiplexing_degree(
                 lam_r[agg_rows], entries[:, -1], vcs
             )
@@ -355,148 +308,34 @@ class UniformLatencyModel:
         saturated a load the cold solve resolves, though it may resolve
         a borderline load whose cold solve only ran out of budget.
         """
-        if self.kernel == "vector":
-            return self.evaluate_batch(
-                [rate],
-                initials=None if initial is None else [initial],
-                chain=False,
-            )[0]
-        if rate < 0:
-            raise ValueError(f"rate must be non-negative, got {rate}")
-        k, lm = self.k, self.message_length
-        lam_r = rate * self.regular_rate_factor
-        init = np.full(self.n, float(k + lm))
-        if initial is not None:
-            initial = np.asarray(initial, dtype=float)
-            if initial.shape != init.shape:
-                raise ValueError(
-                    f"initial state has shape {initial.shape}, expected {init.shape}"
-                )
-        if rate == 0.0:
-            entries = init
-            iterations = 0
-        else:
-            result = self.solver.solve(
-                lambda s: self._entrance_times(rate, s),
-                init if initial is None else initial,
-            )
-            iterations = result.iterations
-            if result.status is not FixedPointStatus.CONVERGED and initial is not None:
-                result = self.solver.solve(
-                    lambda s: self._entrance_times(rate, s), init
-                )
-                iterations += result.iterations
-            if result.status is not FixedPointStatus.CONVERGED:
-                return ModelResult(
-                    rate=rate,
-                    latency=math.inf,
-                    saturated=True,
-                    iterations=iterations,
-                )
-            entries = result.state
-
-        # Network latency: a message enters at its first non-matching
-        # dimension (weight (1/k)^i (1-1/k)); each entry dimension's
-        # class latency chains into the next dimension's class latency
-        # (entrance value, or trip-averaged value in averaged mode) —
-        # the same convention _entrance_times uses.
-        p_skip = 1.0 / k
-        class_lat = [0.0] * self.n
-        next_latency: float | None = None
-        for i in reversed(range(self.n)):
-            b = blocking_delay(
-                BlockingInputs(lam_r, 0.0, self._competing_service(float(entries[i])), 0.0),
-                lm,
-            )
-            if next_latency is None:
-                prof = regular_service_profile(k, b, lm)
-            else:
-                p_use = (k - 1.0) / k
-                tail = p_use * next_latency + (1.0 - p_use) * lm
-                prof = chained_service_profile(k, b, tail)
-            class_lat[i] = self._class_latency(prof)
-            next_latency = class_lat[i]
-        network = 0.0
-        total_weight = 0.0
-        for i in range(self.n):
-            weight = (p_skip**i) * (1.0 - p_skip)
-            network += weight * class_lat[i]
-            total_weight += weight
-        network /= total_weight
-
-        # V-bar uses the unchained single-dimension entrance time (the
-        # last dimension's entry, k(1+B)+Lm) — the convention the 2-D
-        # hot-spot model inherits from the paper's eqs 36-37.
-        v_bar = multiplexing_degree(lam_r, float(entries[-1]), self.num_vcs)
-        ws = mg1_waiting_time(rate / self.num_vcs, network, lm)
-        if not math.isfinite(ws):
-            return ModelResult(
-                rate=rate, latency=math.inf, saturated=True, iterations=iterations
-            )
-        latency = (network + ws) * v_bar
-        return ModelResult(
-            rate=rate,
-            latency=float(latency),
-            saturated=False,
-            iterations=iterations,
-            mean_multiplexing_x=v_bar,
-            mean_multiplexing_hot_ring=v_bar,
-            mean_multiplexing_nonhot_ring=v_bar,
-            max_utilization=lam_r * self._competing_service(float(np.max(entries))),
-            fixed_point_state=np.array(entries, dtype=float, copy=True),
-        )
+        return self.evaluate_batch(
+            [rate],
+            initials=None if initial is None else [initial],
+            chain=False,
+        )[0]
 
     def saturation_rate(
         self, lo: float = 0.0, hi: float = 0.1, tol: float = 1e-9
     ) -> float:
         """Smallest rate at which the model saturates.
 
-        Scalar kernel: bisection.  Vector kernel: batched bracketing
-        (a probe grid per round as one solve), same ``tol`` contract.
+        Batched bracketing (a probe grid per round as one solve); see
+        :func:`repro.core.model.batched_saturation_search`.
         """
-        if self.kernel == "vector":
-            from repro.core.model import batched_saturation_search
+        from repro.core.model import batched_saturation_search
 
-            return batched_saturation_search(self, lo, hi, tol)
-        if not self.evaluate(hi).saturated:
-            raise ValueError(f"upper bound {hi} does not saturate the model")
-        lo_rate, hi_rate = lo, hi
-        while hi_rate - lo_rate > tol * max(1.0, hi_rate):
-            mid = 0.5 * (lo_rate + hi_rate)
-            if self.evaluate(mid).saturated:
-                hi_rate = mid
-            else:
-                lo_rate = mid
-        return hi_rate
+        return batched_saturation_search(self, lo, hi, tol)
 
     def sweep(
         self, rates, label: str = "uniform-model", *, warm_start: bool = True
     ) -> SweepResult:
-        """Evaluate over a rate grid, warm-starting adjacent solves.
-
-        The vector kernel runs the grid as one batched solve with
-        warm-start chaining along the rate axis; the scalar kernel
-        chains sequentially.
-        """
+        """Evaluate over a rate grid as one batched solve, chaining warm
+        starts along the rate axis unless ``warm_start`` is false."""
         out = SweepResult(label=label)
-        if self.kernel == "vector":
-            for res in self.evaluate_batch(rates, chain=warm_start):
-                out.points.append(
-                    SweepPoint(
-                        rate=res.rate,
-                        latency=res.latency,
-                        saturated=res.saturated,
-                        iterations=res.iterations,
-                    )
-                )
-            return out
-        state: Optional[np.ndarray] = None
-        for r in rates:
-            res = self.evaluate(float(r), initial=state if warm_start else None)
-            state = res.fixed_point_state
+        for res in self.evaluate_batch(rates, chain=warm_start):
             out.points.append(
                 SweepPoint(
-                    rate=float(r),
+                    rate=res.rate,
                     latency=res.latency,
                     saturated=res.saturated,
                     iterations=res.iterations,

@@ -58,11 +58,10 @@ Resumable campaigns
 Batched, warm-started model sweeps
     Successive grid points differ only in the injection rate, so the
     fixed point at one rate is an excellent initial state for the next.
-    With the default vector model kernel a panel's whole rate grid is
-    *one* batched fixed-point solve with per-point convergence masking;
-    under ``REPRO_MODEL_KERNEL=scalar`` the points chain sequentially
-    via the ``initial`` pass-through.  Both paths converge (to solver
-    tolerance) on the same fixed points.
+    A panel's whole rate grid is *one* batched fixed-point solve with
+    per-point convergence masking and warm starts chained along the rate
+    axis; every point converges (to solver tolerance) on the same fixed
+    point as a cold solve.
 
 On-disk result cache
     Each simulated point is persisted as a small JSON file keyed by the

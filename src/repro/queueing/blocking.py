@@ -63,8 +63,8 @@ class BlockingInputs:
     s_gam: "float | np.ndarray"
 
     def __post_init__(self) -> None:
-        # Cache scalarity: the scalar model kernel constructs thousands
-        # of these per solve and every accessor branches on it.
+        # Cache scalarity: NDimHotSpotModel constructs these once per
+        # channel and fixed-point step, and every accessor branches on it.
         object.__setattr__(
             self,
             "is_scalar",
@@ -169,9 +169,9 @@ def blocking_delay(inputs: BlockingInputs, message_length):
     Scalar inputs return a ``float``.
     """
     if inputs.is_scalar and not isinstance(message_length, np.ndarray):
-        # Pure-float fast path for the scalar model kernel's per-channel
-        # calls; identical arithmetic to the array path, with eqs 27,
-        # 29-30 inlined to avoid re-dispatching per component.
+        # Pure-float fast path for NDimHotSpotModel's per-channel calls;
+        # identical arithmetic to the array path, with eqs 27, 29-30
+        # inlined to avoid re-dispatching per component.
         if message_length < 0:
             raise ValueError(
                 f"message length must be non-negative, got {message_length}"

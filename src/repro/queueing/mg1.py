@@ -19,8 +19,8 @@ saturation.
 
 Every function is array-native: arguments broadcast against each other
 per the usual numpy rules, and the return preserves scalarity — float
-in, float out; ndarray in, ndarray out.  The vectorized model kernel
-evaluates whole ``k x k`` channel grids (or whole sweep batches) in one
+in, float out; ndarray in, ndarray out.  The 2-D and uniform models
+evaluate whole ``k x k`` channel grids (or whole sweep batches) in one
 call instead of one Python call per channel.
 """
 
@@ -63,8 +63,8 @@ def mg1_waiting_time(lam, service_time, message_length):
         or isinstance(service_time, np.ndarray)
         or isinstance(message_length, np.ndarray)
     ):
-        # Pure-float fast path: the scalar model kernel calls this once
-        # per channel, so it must not pay ndarray dispatch overhead.
+        # Pure-float fast path: NDimHotSpotModel calls this with floats,
+        # so it must not pay ndarray dispatch overhead.
         if lam < 0:
             raise ValueError(f"arrival rate must be non-negative, got {lam}")
         if service_time < 0:

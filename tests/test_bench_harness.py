@@ -48,10 +48,8 @@ class TestHarness:
         assert report["kind"] == "repro-bench"
         assert report["simulator"]["cycles_per_sec"] > 0
         assert report["model"]["solves_per_sec"] > 0
-        assert report["model"]["kernel"] in ("scalar", "vector")
         assert report["model_batch"]["points_per_sec"] > 0
         assert report["model_batch"]["points"] == len(bench.bench_model_rates())
-        assert report["model_batch"]["kernel"] == report["model"]["kernel"]
         assert len(report["config_hash"]) == 16
         path = bench.write_report(report, tmp_path)
         assert path.name.startswith("BENCH_")
@@ -59,9 +57,8 @@ class TestHarness:
             json.dumps(report)
         )
 
-    def test_measure_model_records_kernel(self):
-        out = bench.measure_model(rounds=1, kernel="vector")
-        assert out["kernel"] == "vector"
+    def test_measure_model(self):
+        out = bench.measure_model(rounds=1)
         assert out["solves_per_sec"] > 0
 
     def test_measure_model_batch_panel_shaped(self):
@@ -76,11 +73,11 @@ class TestHarness:
         assert path.exists()
 
     @staticmethod
-    def _report(cycles, solves, kernel="vector", quick=True):
+    def _report(cycles, solves, quick=True):
         return {
             "quick": quick,
             "simulator": {"cycles_per_sec": cycles},
-            "model": {"solves_per_sec": solves, "kernel": kernel},
+            "model": {"solves_per_sec": solves},
         }
 
     def test_check_regression_pass_and_fail(self):
@@ -112,15 +109,9 @@ class TestHarness:
         # Pre-batch baselines (no model_batch section) skip this gate.
         assert bench.check_regression(fast, self._report(50_000.0, 200.0)) == []
 
-    def test_check_regression_model_kernel_mismatch(self):
-        vec = self._report(50_000.0, 200.0, kernel="vector")
-        sca = self._report(50_000.0, 150.0, kernel="scalar")
-        failures = bench.check_regression(sca, vec)
-        assert any("model-kernel mismatch" in f for f in failures)
-
     def test_check_regression_tolerates_pre_kernel_baseline(self):
-        # PR-4-era baselines have no model.kernel field; the model gate
-        # still applies, only the kernel comparability check is skipped.
+        # The model gate applies in both directions against an old
+        # baseline whose model section holds solves_per_sec alone.
         new = self._report(50_000.0, 200.0)
         old = {
             "quick": True,
@@ -130,6 +121,10 @@ class TestHarness:
         assert bench.check_regression(new, old) == []
         failures = bench.check_regression(old | {"model": {"solves_per_sec": 20.0}}, new)
         assert any("model throughput regressed" in f for f in failures)
+        # The committed baselines still carry a model "kernel" field,
+        # which no check reads.
+        tagged = old | {"model": {"solves_per_sec": 20.0, "kernel": "vector"}}
+        assert bench.check_regression(new, tagged) == []
 
     def test_check_regression_missing_model_metrics(self):
         new = self._report(50_000.0, 200.0)

@@ -1,33 +1,40 @@
-"""Tests for the hypercube baseline (repro.core.hypercube) and the k=2
-simulator configuration it is validated against."""
+"""Tests for the hypercube baseline — :class:`repro.core.ndim.NDimHotSpotModel`
+at k = 2 — and the k=2 simulator configuration it is validated against."""
 
 import pytest
 
-from repro.core.hypercube import HypercubeHotSpotModel
+from repro.core.ndim import NDimHotSpotModel
 from repro.simulator import Simulation, SimulationConfig
+from repro.topology import KAryNCube
+
+
+def hypercube(n, message_length, hotspot_fraction):
+    return NDimHotSpotModel(
+        k=2, n=n, message_length=message_length, hotspot_fraction=hotspot_fraction
+    )
 
 
 class TestModelBasics:
     def test_validation(self):
         with pytest.raises(ValueError):
-            HypercubeHotSpotModel(dimensions=0, message_length=16, hotspot_fraction=0.2)
+            hypercube(0, message_length=16, hotspot_fraction=0.2)
 
     def test_node_count(self):
-        m = HypercubeHotSpotModel(dimensions=6, message_length=16, hotspot_fraction=0.2)
+        m = hypercube(6, message_length=16, hotspot_fraction=0.2)
         assert m.num_nodes == 64
 
     def test_mean_hops(self):
-        m = HypercubeHotSpotModel(dimensions=8, message_length=16, hotspot_fraction=0.2)
-        assert m.mean_message_hops == 4.0
+        """Eq (2) at k = 2: ``n/2`` (each address bit flips w.p. 1/2)."""
+        assert KAryNCube(2, 8).mean_message_hops == 4.0
 
     def test_hot_rate_doubles_per_dimension(self):
         """The dimension-i hot-path channel aggregates 2**i sources."""
-        m = HypercubeHotSpotModel(dimensions=5, message_length=16, hotspot_fraction=0.5)
+        m = hypercube(5, message_length=16, hotspot_fraction=0.5)
         for i in range(5):
-            assert m.hot_rate(i) == pytest.approx(0.5 * 2**i)
+            assert m.hot_rate(i, 1) == pytest.approx(0.5 * 2**i)
 
     def test_monotone_and_saturates(self):
-        m = HypercubeHotSpotModel(dimensions=6, message_length=16, hotspot_fraction=0.3)
+        m = hypercube(6, message_length=16, hotspot_fraction=0.3)
         lats = [m.evaluate(r).latency for r in (1e-4, 5e-4, 1e-3)]
         assert all(a < b for a, b in zip(lats, lats[1:]))
         assert m.evaluate(0.1).saturated
@@ -36,21 +43,20 @@ class TestModelBasics:
         """The last dimension's hot channel carries lam*h*2^(n-1):
         saturation ~ 1/(h*2^(n-1)*(Lm+1))."""
         n, lm, h = 6, 16, 0.3
-        m = HypercubeHotSpotModel(dimensions=n, message_length=lm, hotspot_fraction=h)
+        m = hypercube(n, message_length=lm, hotspot_fraction=h)
         bound = 1.0 / (h * 2 ** (n - 1) * (lm + 1))
         sat = m.saturation_rate(hi=0.5)
         assert 0.4 * bound < sat < 1.1 * bound
 
     def test_more_dimensions_saturate_earlier(self):
         def sat(n):
-            return HypercubeHotSpotModel(
-                dimensions=n, message_length=16, hotspot_fraction=0.3
-            ).saturation_rate(hi=0.5)
+            m = hypercube(n, message_length=16, hotspot_fraction=0.3)
+            return m.saturation_rate(hi=0.5)
 
         assert sat(4) > sat(6) > sat(8)
 
     def test_sweep_label(self):
-        m = HypercubeHotSpotModel(dimensions=4, message_length=8, hotspot_fraction=0.2)
+        m = hypercube(4, message_length=8, hotspot_fraction=0.2)
         sw = m.sweep([1e-3], label="hc")
         assert sw.label == "hc"
 
@@ -60,7 +66,7 @@ class TestAgainstSimulator:
         """Model vs flit-level simulation of the 64-node hypercube
         (k=2, n=6) under hot-spot traffic at moderate load."""
         n, lm, h = 6, 16, 0.3
-        model = HypercubeHotSpotModel(dimensions=n, message_length=lm, hotspot_fraction=h)
+        model = hypercube(n, message_length=lm, hotspot_fraction=h)
         rate = 0.4 * model.saturation_rate(hi=0.5)
         cfg = SimulationConfig(
             k=2,

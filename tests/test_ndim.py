@@ -59,14 +59,7 @@ class TestBehaviour:
     def test_saturation_decreases_with_h(self):
         def sat(h):
             m = NDimHotSpotModel(k=8, n=2, message_length=16, hotspot_fraction=h)
-            lo, hi = 0.0, 0.05
-            for _ in range(30):
-                mid = (lo + hi) / 2
-                if m.evaluate(mid).saturated:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
+            return m.saturation_rate(hi=0.05)
 
         assert sat(0.2) > sat(0.5) > sat(0.8)
 
