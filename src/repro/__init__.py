@@ -25,29 +25,26 @@ Quickstart
 395.2...
 """
 
-from repro.core import (
-    BlockingServicePolicy,
-    FixedPointSolver,
-    FixedPointStatus,
-    HotSpotLatencyModel,
-    LatencyBreakdown,
-    ModelResult,
-    NDimHotSpotModel,
-    SweepPoint,
-    SweepResult,
-    UniformLatencyModel,
-)
-from repro.simulator import Simulation, SimulationConfig, SimulationResult
-from repro.topology import DimensionOrderRouter, KAryNCube
-from repro.traffic import (
-    ChannelRates,
-    ExponentialArrivals,
-    HotSpotPattern,
-    HotSpotRates,
-    OnOffArrivals,
-    ParetoOnOffArrivals,
-    UniformPattern,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.model": ("BlockingServicePolicy", "HotSpotLatencyModel"),
+    "repro.core.results": (
+        "LatencyBreakdown", "ModelResult", "SweepPoint", "SweepResult",
+    ),
+    "repro.core.uniform": ("UniformLatencyModel",),
+    "repro.core.ndim": ("NDimHotSpotModel",),
+    "repro.core.fixed_point": ("FixedPointSolver", "FixedPointStatus"),
+    "repro.simulator.config": ("SimulationConfig",),
+    "repro.simulator.sim": ("Simulation", "SimulationResult"),
+    "repro.topology.kary_ncube": ("KAryNCube",),
+    "repro.topology.routing": ("DimensionOrderRouter",),
+    "repro.traffic.patterns": ("HotSpotPattern", "UniformPattern"),
+    "repro.traffic.burst": (
+        "ExponentialArrivals", "OnOffArrivals", "ParetoOnOffArrivals",
+    ),
+    "repro.traffic.rates": ("ChannelRates", "HotSpotRates"),
+})
 
 __version__ = "1.0.0"
 

@@ -17,9 +17,14 @@ from __future__ import annotations
 import os
 from typing import Optional, Union
 
+from repro._lazy import lazy_exports
 from repro.backends.base import SweepBackend
-from repro.backends.filequeue import FileQueueBackend
 from repro.backends.local import InlineBackend, LocalPoolBackend
+
+# Only ``file:`` selectors need the file queue.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.backends.filequeue": ("FileQueueBackend",),
+})
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -63,6 +68,8 @@ def resolve_backend(
             raise ValueError(
                 f"backend selector {selector!r}: expected 'file:<campaign-dir>'"
             )
+        from repro.backends.filequeue import FileQueueBackend
+
         return FileQueueBackend(arg)
     raise ValueError(
         f"unknown sweep backend {name!r} (expected 'local' or 'file:<dir>')"

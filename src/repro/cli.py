@@ -56,23 +56,23 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
-
-from repro.core.model import HotSpotLatencyModel
-from repro.core.uniform import UniformLatencyModel
-from repro.experiments import (
+# A command imports what it runs, inside its handler: the parser needs
+# only the panel definitions, and the model commands never load the
+# simulator, the sweep engine or its process pool.  The two report
+# names stay module-level bindings (tests and the benchmark tracer
+# patch them).
+from repro.experiments.figures import (
     ALL_PANELS,
     FIGURES,
-    SweepEngine,
-    format_panel_table,
     get_panel,
     panels_of_figure,
-    shape_metrics,
 )
-from repro.simulator import Simulation, SimulationConfig
-from repro.viz import plot_sweeps
+from repro.experiments.report import format_panel_table, shape_metrics
+
+if TYPE_CHECKING:
+    from repro.experiments.sweep import SweepEngine
 
 __all__ = ["main", "build_parser"]
 
@@ -236,6 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.core.model import HotSpotLatencyModel
+    from repro.core.uniform import UniformLatencyModel
+
     model = HotSpotLatencyModel(
         k=args.k,
         message_length=args.lm,
@@ -272,12 +277,16 @@ def _cmd_model(args: argparse.Namespace) -> int:
         lat = "saturated" if p.saturated else f"{p.latency:.1f}"
         print(f"{p.rate:>14.6g} | {lat:>16}")
     if args.plot:
+        from repro.viz import plot_sweeps
+
         print()
         print(plot_sweeps([sweep]))
     return 0
 
 
 def _cmd_saturation(args: argparse.Namespace) -> int:
+    from repro.core.model import HotSpotLatencyModel
+
     model = HotSpotLatencyModel(
         k=args.k, message_length=args.lm, hotspot_fraction=args.h, num_vcs=args.vcs
     )
@@ -291,6 +300,9 @@ def _cmd_saturation(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.simulator.config import SimulationConfig
+    from repro.simulator.sim import Simulation
+
     cfg = SimulationConfig(
         k=args.k,
         message_length=args.lm,
@@ -317,6 +329,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _sweep_engine(args: argparse.Namespace) -> SweepEngine:
+    from repro.experiments.sweep import SweepEngine
+
     return SweepEngine(
         jobs=args.jobs,
         use_cache=not args.no_cache,
@@ -361,6 +375,8 @@ def _print_panel(result, args: argparse.Namespace) -> None:
         print(f"\nmean relative error (light/moderate load): "
               f"{m.mean_rel_error_light:.1%}")
     if args.plot:
+        from repro.viz import plot_sweeps
+
         sweeps = [result.model] + (
             [result.simulation] if result.simulation is not None else []
         )

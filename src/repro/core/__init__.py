@@ -16,11 +16,17 @@
   hypercube of the paper's predecessor model.
 """
 
-from repro.core.model import BlockingServicePolicy, HotSpotLatencyModel
-from repro.core.results import LatencyBreakdown, ModelResult, SweepPoint, SweepResult
-from repro.core.uniform import UniformLatencyModel
-from repro.core.ndim import NDimHotSpotModel
-from repro.core.fixed_point import FixedPointSolver, FixedPointStatus
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.model": ("BlockingServicePolicy", "HotSpotLatencyModel"),
+    "repro.core.results": (
+        "LatencyBreakdown", "ModelResult", "SweepPoint", "SweepResult",
+    ),
+    "repro.core.uniform": ("UniformLatencyModel",),
+    "repro.core.ndim": ("NDimHotSpotModel",),
+    "repro.core.fixed_point": ("FixedPointSolver", "FixedPointStatus"),
+})
 
 __all__ = [
     "HotSpotLatencyModel",

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ __all__ = [
     "BatchFixedPointResult",
     "FixedPointSolver",
     "UpdateFailure",
+    "batch_start",
     "solve_batch_with_fallback",
 ]
 
@@ -126,6 +127,43 @@ class BatchFixedPointResult:
     @property
     def converged(self) -> np.ndarray:
         return self.status == FixedPointStatus.CONVERGED
+
+
+def batch_start(
+    rates: "Sequence[float] | np.ndarray",
+    initials: Optional[Sequence[Optional[np.ndarray]]],
+    cold: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Validated rates and starting states of a model's ``evaluate_batch``.
+
+    Every row starts from the ``cold`` state unless ``initials`` gives it
+    a warm start (entries may be ``None``; zero-rate rows always start
+    cold).  Returns ``(rates, initial states, warm mask)``.
+    """
+    rates_arr = np.asarray([float(r) for r in rates], dtype=float)
+    if rates_arr.size and np.any(rates_arr < 0):
+        bad = float(rates_arr[rates_arr < 0][0])
+        raise ValueError(f"rate must be non-negative, got {bad}")
+    n_points = rates_arr.size
+    states0 = np.tile(cold, (n_points, 1))
+    warm = np.zeros(n_points, dtype=bool)
+    if initials is not None:
+        if len(initials) != n_points:
+            raise ValueError(
+                f"got {len(initials)} initial states for {n_points} rates"
+            )
+        for p, init in enumerate(initials):
+            if init is None or rates_arr[p] == 0.0:
+                continue
+            init = np.asarray(init, dtype=float)
+            if init.shape != cold.shape:
+                raise ValueError(
+                    f"initial state has shape {init.shape}, "
+                    f"expected {cold.shape}"
+                )
+            states0[p] = init
+            warm[p] = True
+    return rates_arr, states0, warm
 
 
 def solve_batch_with_fallback(

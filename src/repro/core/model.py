@@ -53,7 +53,11 @@ from repro.core.equations import (
     hot_y_service_profile,
     regular_service_profile,
 )
-from repro.core.fixed_point import FixedPointSolver, solve_batch_with_fallback
+from repro.core.fixed_point import (
+    FixedPointSolver,
+    batch_start,
+    solve_batch_with_fallback,
+)
 from repro.core.results import LatencyBreakdown, ModelResult, SweepPoint, SweepResult
 from repro.queueing.blocking import blocking_delay_raw
 from repro.queueing.mg1 import mg1_waiting_time
@@ -628,30 +632,9 @@ class HotSpotLatencyModel:
         themselves should drive the solve.  Results come back in input
         order.
         """
-        rates_arr = np.asarray([float(r) for r in rates], dtype=float)
-        if rates_arr.size and np.any(rates_arr < 0):
-            bad = float(rates_arr[rates_arr < 0][0])
-            raise ValueError(f"rate must be non-negative, got {bad}")
-        n_points = rates_arr.size
         cold = self._zero_load_state()
-        states0 = np.tile(cold, (n_points, 1))
-        warm = np.zeros(n_points, dtype=bool)
-        if initials is not None:
-            if len(initials) != n_points:
-                raise ValueError(
-                    f"got {len(initials)} initial states for {n_points} rates"
-                )
-            for p, init in enumerate(initials):
-                if init is None or rates_arr[p] == 0.0:
-                    continue
-                init = np.asarray(init, dtype=float)
-                if init.shape != cold.shape:
-                    raise ValueError(
-                        f"initial state has shape {init.shape}, "
-                        f"expected {cold.shape}"
-                    )
-                states0[p] = init
-                warm[p] = True
+        rates_arr, states0, warm = batch_start(rates, initials, cold)
+        n_points = rates_arr.size
 
         lam_r, hot_x, hot_y = self._batch_rates(rates_arr)
         gam_all = self._packed_gam(hot_x, hot_y)

@@ -133,11 +133,6 @@ class NDimHotSpotModel:
     # ------------------------------------------------------------------
     # Fixed point over per-dimension structures
     # ------------------------------------------------------------------
-    def _state_size(self) -> int:
-        # Per dimension: entrance service time of the regular class (1)
-        # and the hot profile S^h_{i,j}, j = 1..k-1.
-        return self.n * (1 + (self.k - 1))
-
     def _unpack(self, state: np.ndarray):
         entries = state[: self.n]
         hot = state[self.n :].reshape(self.n, self.k - 1)
@@ -164,22 +159,24 @@ class NDimHotSpotModel:
         entries, hot = self._unpack(state)
         new_entries = np.empty(n)
         new_hot = np.empty((n, k - 1))
+        tx = float(lm + 1)  # transmission-time competing service
+        # Blocking on a ring without hot traffic: the same in every
+        # dimension and at every position.
+        b_cold = blocking_delay(BlockingInputs(lam_r, 0.0, tx, 0.0), lm)
+        if not math.isfinite(b_cold):
+            return np.full_like(state, np.inf)
         # Walk dimensions backwards so hot chaining uses fresh profiles.
         for i in reversed(range(n)):
             frac_hot = self.hot_ring_fraction(i)
             # Averaged regular blocking over ring type and position.
             b_terms: List[float] = []
-            tx = float(lm + 1)  # transmission-time competing service
             for j in range(1, k + 1):
                 gam = rate * self.hot_rate(i, j)
                 s_gam = tx if j < k else 0.0
                 b_hot_pos = blocking_delay(
                     BlockingInputs(lam_r, gam, tx, s_gam), lm
                 )
-                b_cold = blocking_delay(
-                    BlockingInputs(lam_r, 0.0, tx, 0.0), lm
-                )
-                if not (math.isfinite(b_hot_pos) and math.isfinite(b_cold)):
+                if not math.isfinite(b_hot_pos):
                     return np.full_like(state, np.inf)
                 b_terms.append(frac_hot * b_hot_pos + (1.0 - frac_hot) * b_cold)
             b_i = float(np.mean(b_terms))
@@ -196,10 +193,6 @@ class NDimHotSpotModel:
             # every remaining dimension segment that is non-zero; we
             # average over the next dimension's distance uniformly, which
             # is exact for the uniform source distribution).
-            if i == n - 1:
-                hot_tail = float(lm)
-            else:
-                hot_tail = float(lm)  # j=0 continuation handled below
             prev = None
             for j in range(1, k):
                 gam = rate * self.hot_rate(i, j)

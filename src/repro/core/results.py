@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.resilience import PointFailure
+if TYPE_CHECKING:
+    from repro.resilience import PointFailure
 
 __all__ = [
     "LatencyBreakdown",
     "ModelResult",
-    "PointFailure",
     "SweepPoint",
     "SweepResult",
 ]

@@ -20,29 +20,22 @@ flit-level simulator.
   EXPERIMENTS.md.
 """
 
-from repro.experiments.figures import (
-    ALL_PANELS,
-    FIGURE1,
-    FIGURE2,
-    FIGURES,
-    PanelSpec,
-    get_panel,
-    panels_of_figure,
-)
-from repro.experiments.sweep import (
-    PanelResult,
-    SweepEngine,
-    default_cache_dir,
-    point_seed,
-    sim_jobs,
-    sim_measure_cycles,
-)
-from repro.experiments.runner import run_panel, run_panel_model_only
-from repro.experiments.report import (
-    format_panel_table,
-    shape_metrics,
-    ShapeMetrics,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.figures": (
+        "ALL_PANELS", "FIGURE1", "FIGURE2", "FIGURES", "PanelSpec",
+        "get_panel", "panels_of_figure",
+    ),
+    "repro.experiments.sweep": (
+        "PanelResult", "SweepEngine", "default_cache_dir", "point_seed",
+        "sim_jobs", "sim_measure_cycles",
+    ),
+    "repro.experiments.runner": ("run_panel", "run_panel_model_only"),
+    "repro.experiments.report": (
+        "format_panel_table", "shape_metrics", "ShapeMetrics",
+    ),
+})
 
 __all__ = [
     "ALL_PANELS",

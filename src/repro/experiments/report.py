@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.results import SweepResult
-from repro.experiments.runner import PanelResult
+
+if TYPE_CHECKING:
+    from repro.experiments.sweep import PanelResult
 
 __all__ = ["ShapeMetrics", "shape_metrics", "format_panel_table"]
 

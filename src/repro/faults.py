@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -196,6 +195,8 @@ def active_plan() -> Optional[FaultPlan]:
 
 
 def _in_worker() -> bool:
+    import multiprocessing
+
     return multiprocessing.parent_process() is not None
 
 

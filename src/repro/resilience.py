@@ -38,11 +38,13 @@ import json
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "CheckpointJournal",
@@ -211,6 +213,10 @@ class ResilientExecutor:
 
     # ------------------------------------------------------------------
     def _new_pool(self) -> ProcessPoolExecutor:
+        # Imported here: only the pool needs concurrent.futures, and its
+        # process module pulls in multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(max_workers=self.jobs)
 
     @staticmethod
@@ -268,6 +274,8 @@ class ResilientExecutor:
         ``(results, failures)`` keyed like ``tasks``.  Every non-dropped
         key appears in exactly one of the two mappings.
         """
+        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+
         results: Dict[Hashable, object] = {}
         failures: Dict[Hashable, TaskFailure] = {}
         queue = deque(tasks)

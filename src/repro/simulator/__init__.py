@@ -40,12 +40,16 @@ decided per run by :class:`~repro.simulator.network.TorusWorkload`:
   does not load, and the oracle the equivalence tests compare against.
 """
 
-from repro.simulator.config import SimulationConfig
-from repro.simulator.engine import CycleEngine
-from repro.simulator.sim import Simulation, SimulationResult
-from repro.simulator.soa import SoACycleEngine
-from repro.simulator.span import SpanEngine
-from repro.simulator.stats import BatchMeans, LatencyStats
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simulator.config": ("SimulationConfig",),
+    "repro.simulator.engine": ("CycleEngine",),
+    "repro.simulator.sim": ("Simulation", "SimulationResult"),
+    "repro.simulator.soa": ("SoACycleEngine",),
+    "repro.simulator.span": ("SpanEngine",),
+    "repro.simulator.stats": ("BatchMeans", "LatencyStats"),
+})
 
 __all__ = [
     "SimulationConfig",

@@ -10,12 +10,13 @@ with :meth:`repro.core.model.HotSpotLatencyModel.evaluate`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.simulator.config import SimulationConfig
-from repro.simulator.network import TorusWorkload
-from repro.traffic.burst import ArrivalModel
-from repro.traffic.patterns import DestinationPattern
+
+if TYPE_CHECKING:
+    from repro.traffic.burst import ArrivalModel
+    from repro.traffic.patterns import DestinationPattern
 
 __all__ = ["Simulation", "SimulationResult"]
 
@@ -67,6 +68,10 @@ class Simulation:
         pattern: Optional[DestinationPattern] = None,
         arrival_model: Optional[ArrivalModel] = None,
     ) -> None:
+        # The network and its engines load on the first simulation, not
+        # with every module that names this class (the sweep engine).
+        from repro.simulator.network import TorusWorkload
+
         self.config = config
         self.workload = TorusWorkload(
             config, pattern=pattern, arrival_model=arrival_model

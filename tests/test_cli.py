@@ -1,5 +1,6 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -267,3 +268,67 @@ class TestImportHygiene:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    # -- start-up contract: a command imports what it runs -------------
+    #: Stdlib modules only the process pool needs.
+    POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+
+    @staticmethod
+    def _modules_after(argv, cache_dir):
+        """Modules a fresh process holds after ``import repro.cli`` and,
+        when ``argv`` is given, ``main(argv)`` (stdout discarded)."""
+        code = textwrap.dedent("""
+            import contextlib, io, json, sys
+
+            import repro.cli
+
+            argv = json.loads(sys.argv[1])
+            if argv:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert repro.cli.main(argv) == 0
+            print(json.dumps(sorted(sys.modules)))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC),
+                   REPRO_CACHE_DIR=str(cache_dir))
+        for var in ("REPRO_BACKEND", "REPRO_FAULTS"):
+            env.pop(var, None)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv or [])],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout))
+
+    @staticmethod
+    def _loaded(modules, names):
+        """The loaded modules that are one of ``names`` or inside one."""
+        return sorted(m for m in modules
+                      if any(m == n or m.startswith(n + ".") for n in names))
+
+    def test_cli_import_loads_no_sweep_or_simulator_layer(self, tmp_path):
+        modules = self._modules_after(None, tmp_path)
+        assert self._loaded(modules, (
+            "repro.simulator", "repro.backends", "repro.resilience",
+            "repro.store", "repro.faults", "repro.viz",
+        ) + self.POOL_MODULES) == []
+
+    @pytest.mark.parametrize("argv", [["model", "--rate", "3e-4"],
+                                      ["saturation"]])
+    def test_model_commands_load_no_simulator_backend_or_store(
+            self, tmp_path, argv):
+        modules = self._modules_after(argv, tmp_path)
+        assert "repro.core.model" in modules
+        assert self._loaded(modules, (
+            "repro.simulator", "repro.backends", "repro.store",
+        ) + self.POOL_MODULES) == []
+
+    def test_warm_store_figure_loads_no_engine_or_file_queue(self, tmp_path):
+        argv = ["figure", "1", "--simulate", "--jobs", "1",
+                "--cycles", "1000"]
+        self._modules_after(argv, tmp_path)  # fills the store
+        modules = self._modules_after(argv, tmp_path)
+        assert "repro.store" in modules
+        assert self._loaded(modules, (
+            "repro.simulator.network", "repro.simulator.span",
+            "repro.simulator.kernel", "repro.simulator.engine",
+            "repro.simulator.soa", "repro.backends.filequeue",
+        ) + self.POOL_MODULES) == []
