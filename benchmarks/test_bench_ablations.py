@@ -154,14 +154,8 @@ def test_dimensionality(benchmark, results_dir):
         rows = []
         for k, n in ((64, 1), (8, 2), (4, 3)):
             m = NDimHotSpotModel(k=k, n=n, message_length=32, hotspot_fraction=0.4)
-            lo, hi = 0.0, 0.05
-            for _ in range(40):
-                mid = (lo + hi) / 2
-                if m.evaluate(mid).saturated:
-                    hi = mid
-                else:
-                    lo = mid
-            rows.append((f"{k}^{n}", hi, m.evaluate(0.0).latency))
+            rows.append((f"{k}^{n}", m.saturation_rate(hi=0.05),
+                         m.evaluate(0.0).latency))
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -94,8 +94,10 @@ __all__ = [
 
 #: Bump when the on-disk campaign protocol changes incompatibly.  Version
 #: 2 carries one ``config`` per unit body and one ``point`` per result;
-#: version 3 drops the ``engine`` field from that ``config``.
-PROTOCOL_VERSION = 3
+#: version 3 drops the ``engine`` field from that ``config``; version 4
+#: marks the one-generator random stream, so a worker that would simulate
+#: a ``config`` to the old numbers takes no unit.
+PROTOCOL_VERSION = 4
 
 #: Grace before an *undecodable* lease is quarantined: its writer may be
 #: mid-write right now (the O_EXCL create and the payload write are two

@@ -145,8 +145,9 @@ class NDimHotSpotModel:
         k, lm = self.k, self.message_length
         entries = np.full(self.n, float(k + lm))
         hot = np.empty((self.n, k - 1))
-        # Zero-load hot profiles: last dimension drains (Lm), earlier
-        # dimensions chain into the next dimension's mean entry.
+        # Starting point of every solve, rate 0 included: contention-free
+        # hot profiles, the last dimension draining (Lm) and earlier
+        # dimensions chaining into the next dimension's mean entry.
         for i in reversed(range(self.n)):
             tail = lm if i == self.n - 1 else lm + float(np.mean(hot[i + 1]))
             for j in range(1, k):
@@ -226,20 +227,16 @@ class NDimHotSpotModel:
             raise ValueError(f"rate must be non-negative, got {rate}")
         k, lm, n, h = self.k, self.message_length, self.n, self.h
         lam_r = rate * (1.0 - h) * (k - 1) / 2.0
-        if rate == 0.0:
-            state = self._zero_state()
-            iterations = 0
-        else:
-            result = self.solver.solve(lambda s: self._update(rate, s), self._zero_state())
-            if result.status is not FixedPointStatus.CONVERGED:
-                return ModelResult(
-                    rate=rate,
-                    latency=math.inf,
-                    saturated=True,
-                    iterations=result.iterations,
-                )
-            state = result.state
-            iterations = result.iterations
+        result = self.solver.solve(lambda s: self._update(rate, s), self._zero_state())
+        if result.status is not FixedPointStatus.CONVERGED:
+            return ModelResult(
+                rate=rate,
+                latency=math.inf,
+                saturated=True,
+                iterations=result.iterations,
+            )
+        state = result.state
+        iterations = result.iterations
         entries, hot = self._unpack(state)
 
         # Regular network latency: dimension entered = first non-matching

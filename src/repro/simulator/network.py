@@ -5,20 +5,36 @@ bursty models via ``arrival_model``), destination draws, routes,
 hot/regular classification and the delivery statistics, and drives one
 of three bit-identical engines through one loop, :meth:`TorusWorkload.run`.
 
-Arrivals are generated one *window* of cycles at a time, in numpy.
-Each source owns a spawned child RNG and draws its inter-arrival gaps
-through :meth:`~repro.traffic.burst.ArrivalModel.sample_gaps` in blocks
-of 256; its arrival times are the running sum of its gaps, continued
-from block to block.  A window takes every source's arrivals before the
-window's end and merges them by (time, source).  Destinations are then
-drawn in that order from the workload RNG, which serves nothing else,
-so a run is fully determined by ``config.seed`` for any engine, window
-and job count.  A window spans about ``backlog_limit / (N * rate)``
-cycles — about as many arrivals as the backlog exit tolerates — so an
-overloaded point draws at most about one window it never admits, and
-the workload holds O(window) arrivals, not O(run).  Routes of the
-window's new (source, destination) pairs come from one vectorised
+Arrivals are generated one *window* of cycles at a time, in numpy, from
+one random stream per point: every random number of a run comes from
+one generator, ``np.random.default_rng(config.seed)``, in this order:
+
+1. when the workload is built, the first inter-arrival gap of every
+   source, in one :meth:`~repro.traffic.burst.ArrivalModel.sample_gaps`
+   call over all sources in rank order;
+2. per window ``[start, end)``, in rounds: every source whose next
+   arrival falls before ``end`` emits it, and all of them draw their
+   following gap in one ``sample_gaps`` call (rank order); the rounds
+   repeat until no source's next arrival falls before ``end``;
+3. then the window's arrivals, merged by (time, source), draw their
+   destinations in that order in one
+   :meth:`~repro.traffic.patterns.DestinationPattern.draw_many` call.
+
+Nothing else draws from the generator, so a run is fully determined by
+``config.seed`` for any engine, job count and backend.  A window spans
+about ``backlog_limit / (N * rate)`` cycles — about as many arrivals as
+the backlog exit tolerates — so an overloaded point draws at most about
+one window it never admits, and the workload holds O(window) arrivals,
+not O(run).  Routes of the window's new (source, destination) pairs
+come from one vectorised
 :meth:`~repro.simulator.router.RouteTable.routes` call.
+
+Deliveries reach the statistics as arrays, through one method,
+:meth:`TorusWorkload._record_deliveries`: the span engine's delivery
+log once per call, the per-cycle engines' deliveries when the run ends.
+It folds them into exact integer accumulators
+(:mod:`repro.simulator.stats`), so no Python runs per message on the
+span path.
 
 The engine follows from the routing mode and from whether the C kernel
 loads, and nothing else:
@@ -26,8 +42,7 @@ loads, and nothing else:
 * deterministic routing runs on the whole-span kernel
   (:class:`~repro.simulator.span.SpanEngine`), which takes the whole
   window in one :meth:`~repro.simulator.span.SpanEngine.schedule` call
-  and admits each message at its own cycle in C; its delivery log is
-  replayed into the statistics from arrays, with no ``Message``
+  and admits each message at its own cycle in C, with no ``Message``
   objects;
 * adaptive routing runs on the per-cycle structure-of-arrays engine
   with the C link phase (:class:`~repro.simulator.soa.SoACycleEngine`),
@@ -61,9 +76,6 @@ from repro.topology.kary_ncube import KAryNCube
 from repro.traffic.patterns import DestinationPattern, HotSpotPattern, UniformPattern
 
 __all__ = ["TorusWorkload"]
-
-# Inter-arrival gaps drawn per sample_gaps call, per source.
-_GAP_BLOCK = 256
 
 
 class TorusWorkload:
@@ -139,28 +151,20 @@ class TorusWorkload:
             )
         # The span engine takes a whole window of arrivals at once.
         self._bulk = isinstance(self.engine, SpanEngine)
-        # Arrival streams: per source a fresh model and a spawned child
-        # RNG, and a block of upcoming arrival times (running sums of
-        # the block's gaps) with the index of the next one.
+        # Arrival stream: the workload's copy of the arrival model and
+        # every source's next arrival time (inf: none to come).
         effective_rate = (
             arrival_model.mean_rate if arrival_model is not None else config.rate
         )
         if arrival_model is None and config.rate > 0.0:
             arrival_model = ExponentialArrivals(config.rate)
         self.effective_rate = effective_rate
-        self._models: List[ArrivalModel] = []
-        self._gap_rngs: List[np.random.Generator] = []
-        self._times = np.empty((0, _GAP_BLOCK))
-        self._pos = np.empty(0, dtype=np.int64)
+        self._arrivals: Optional[ArrivalModel] = None
+        self._next = np.full(num_nodes, np.inf)
         self._window_cycles = config.total_cycles
         if arrival_model is not None and effective_rate > 0.0:
-            self._gap_rngs = self.rng.spawn(num_nodes)
-            self._models = [arrival_model.fresh() for _ in range(num_nodes)]
-            gaps = np.empty((num_nodes, _GAP_BLOCK))
-            for src, (model, rng) in enumerate(zip(self._models, self._gap_rngs)):
-                gaps[src] = model.sample_gaps(rng, _GAP_BLOCK)
-            self._times = np.cumsum(gaps, axis=1)
-            self._pos = np.zeros(num_nodes, dtype=np.int64)
+            self._arrivals = arrival_model.fresh(num_nodes)
+            self._next = self._arrivals.sample_gaps(np.arange(num_nodes), self.rng)
             backlog_limit = config.saturation_backlog_factor * num_nodes
             self._window_cycles = max(
                 1, math.ceil(backlog_limit / (num_nodes * effective_rate))
@@ -181,15 +185,17 @@ class TorusWorkload:
         # and (per-cycle engines) route lists.
         self._pair_keys = np.empty(0, dtype=np.int64)
         self._pair_key_ids = np.empty(0, dtype=np.int64)
-        self._pair_hops: List[int] = []
-        self._pair_hot: List[bool] = []
+        self._pair_hops = np.empty(0, dtype=np.int64)
+        self._pair_hot = np.empty(0, dtype=bool)
         self._pair_routes: List[Tuple[List[int], List[int]]] = []
-        # Statistics.
+        # Statistics, and the per-cycle engines' deliveries not folded
+        # into them yet.
         self.warmup_end = config.warmup_cycles
         self.all_stats = LatencyStats()
         self.regular_stats = LatencyStats()
         self.hot_stats = LatencyStats()
         self.batches = BatchMeans(batch_size=200)
+        self._delivered: List[Tuple[int, int, int, int, bool]] = []
         self.measured_generated = 0
         self._flits_at_warmup: Optional[np.ndarray] = None
         self._cycles_at_warmup = 0
@@ -210,27 +216,22 @@ class TorusWorkload:
     # Arrival windows
     # ------------------------------------------------------------------
     def _take_arrivals(self, end: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Every source's next arrivals before ``end``, merged in
-        (time, source) order: ``(times, sources)``."""
-        times, pos = self._times, self._pos
-        if not self._models:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        cols = np.arange(_GAP_BLOCK)
-        count = np.count_nonzero(times < end, axis=1)
-        mask = (cols >= pos[:, None]) & (cols < count[:, None])
-        t_parts = [times[mask]]
-        s_parts = [np.nonzero(mask)[0]]
-        pos[:] = count
-        for src in np.flatnonzero(count == _GAP_BLOCK).tolist():
-            # The block ran out before the window's end: draw the next
-            # one, continuing the running sum from the block's last time.
-            model, rng = self._models[src], self._gap_rngs[src]
-            while pos[src] == _GAP_BLOCK:
-                gaps = model.sample_gaps(rng, _GAP_BLOCK)
-                times[src] = np.concatenate((times[src, -1:], gaps)).cumsum()[1:]
-                pos[src] = np.count_nonzero(times[src] < end)
-                t_parts.append(times[src, : pos[src]])
-                s_parts.append(np.full(pos[src], src))
+        """Every source's arrivals before ``end``, merged in
+        (time, source) order: ``(times, sources)``.
+
+        One round per arrival a source makes in the window: the sources
+        whose next arrival is before ``end`` emit it and draw their
+        following gap together.
+        """
+        nxt = self._next
+        t_parts = [np.empty(0)]
+        s_parts = [np.empty(0, dtype=np.int64)]
+        active = np.flatnonzero(nxt < end)
+        while active.size:
+            t_parts.append(nxt[active])
+            s_parts.append(active)
+            nxt[active] += self._arrivals.sample_gaps(active, self.rng)
+            active = active[nxt[active] < end]
         t = np.concatenate(t_parts)
         s = np.concatenate(s_parts)
         order = np.lexsort((s, t))
@@ -240,10 +241,7 @@ class TorusWorkload:
         """Generate the arrivals of the window that starts at ``start``."""
         end = min(start + self._window_cycles, self.config.total_cycles)
         times, src = self._take_arrivals(end)
-        draw, rng = self.pattern.draw, self.rng
-        dst = np.fromiter(
-            (draw(s, rng) for s in src.tolist()), dtype=np.int64, count=len(src)
-        )
+        dst = self.pattern.draw_many(src, self.rng)
         self._win_first_id += len(self._win_cycle)
         self._win_end = end
         self._win_next = 0
@@ -300,8 +298,8 @@ class TorusWorkload:
             self._pair_routes.extend(
                 (ch[a:b], cl[a:b]) for a, b in zip(off, off[1:])
             )
-        self._pair_hops.extend(np.diff(offsets).tolist())
-        self._pair_hot.extend(self._hot_flags(src, dst).tolist())
+        self._pair_hops = np.concatenate((self._pair_hops, np.diff(offsets)))
+        self._pair_hot = np.concatenate((self._pair_hot, self._hot_flags(src, dst)))
         return ids
 
     def _hot_flags(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -371,7 +369,7 @@ class TorusWorkload:
 
     def stop_arrivals(self) -> None:
         """Generate no more arrivals and drop those not yet admitted."""
-        self._models = []
+        self._next[:] = np.inf
         self._win_next = len(self._win_cycle)
         self.engine.stop_arrivals()
 
@@ -440,34 +438,48 @@ class TorusWorkload:
     # ------------------------------------------------------------------
     # Deliveries
     # ------------------------------------------------------------------
-    def _record_delivery(
-        self, msg_id: int, completion: int, generated: int, hops: int, hot: bool
+    def _record_deliveries(
+        self,
+        msg_ids: np.ndarray,
+        completed: np.ndarray,
+        generated: np.ndarray,
+        hops: np.ndarray,
+        hot: np.ndarray,
     ) -> None:
-        """Fold one delivered message into the statistics (measured
-        deliveries only)."""
-        if completion < self.warmup_end:
-            return
-        latency = completion - generated + 1
-        self.all_stats.record(latency, hops=hops)
-        self.batches.record(latency)
-        if hot:
-            self.hot_stats.record(latency, hops=hops)
-        else:
-            self.regular_stats.record(latency, hops=hops)
+        """Fold a delivery log into the statistics: per delivered
+        message, in delivery order, its id, completion and generation
+        cycles (int64), hop count and hot flag.  Every engine's
+        deliveries pass here; those before the warmup edge are not
+        measured."""
+        measured = completed >= self.warmup_end
+        if not measured.all():
+            completed, generated = completed[measured], generated[measured]
+            hops, hot = hops[measured], hot[measured]
+        latency = completed - generated + 1
+        self.all_stats.fold(latency, hops)
+        self.hot_stats.fold(latency[hot], hops[hot])
+        self.regular_stats.fold(latency[~hot], hops[~hot])
+        self.batches.fold(latency)
 
     def _on_delivery(self, msg: Message, completion_cycle: int) -> None:
-        self._record_delivery(
-            msg.msg_id, completion_cycle, msg.generated_at, msg.num_hops, msg.is_hot
+        """A per-cycle engine's delivery, kept for :meth:`_flush_deliveries`."""
+        self._delivered.append(
+            (msg.msg_id, completion_cycle, msg.generated_at, msg.num_hops, msg.is_hot)
         )
 
+    def _flush_deliveries(self) -> None:
+        """Fold the per-cycle engines' deliveries since the last flush."""
+        if self._delivered:
+            log = np.array(self._delivered, dtype=np.int64).T
+            self._delivered = []
+            self._record_deliveries(log[0], log[1], log[2], log[3], log[4] != 0)
+
     def _on_deliveries(self, tags, pairs, generated, completed) -> None:
-        """Replay the span engine's delivery log, in order."""
-        record = self._record_delivery
-        hops, hot = self._pair_hops, self._pair_hot
-        for msg_id, pair, gen, cyc in zip(
-            tags.tolist(), pairs.tolist(), generated.tolist(), completed.tolist()
-        ):
-            record(msg_id, cyc, gen, hops[pair], hot[pair])
+        """The span engine's delivery log, with hops and hot flags
+        looked up by pair."""
+        self._record_deliveries(
+            tags, completed, generated, self._pair_hops[pairs], self._pair_hot[pairs]
+        )
 
     # ------------------------------------------------------------------
     def _snapshot_warmup(self) -> None:
@@ -487,7 +499,9 @@ class TorusWorkload:
         window's end), clamped at the warmup edge, so the utilisation
         snapshot is taken on that cycle even when the network is idle
         there.  A run with no arrivals is an idle network running to
-        the end.
+        the end.  The per-cycle engines' deliveries are folded into the
+        statistics when the run ends, or after every advance when a
+        completion target needs the count.
         """
         cfg = self.config
         engine = self.engine
@@ -514,8 +528,11 @@ class TorusWorkload:
             advance(stop, backlog_limit, left)
             if counters.generated - counters.completed > backlog_limit:
                 break
-            if target is not None and all_stats.count >= target:
-                break
+            if target is not None:
+                self._flush_deliveries()
+                if all_stats.count >= target:
+                    break
+        self._flush_deliveries()
         if self._flits_at_warmup is None:
             self._snapshot_warmup()
         self.measured_generated = counters.generated - self._generated_at_warmup
@@ -532,6 +549,43 @@ class TorusWorkload:
         if self.measured_generated == 0:
             return 1.0
         return self.all_stats.count / self.measured_generated
+
+    def offered_loads(self) -> np.ndarray:
+        """Mean flits per cycle the workload offers each channel, by
+        engine channel id: the arrival model's mean rate times ``Lm``,
+        spread over the routes by the pattern's
+        :meth:`~repro.traffic.patterns.DestinationPattern.flows`.
+
+        A channel carries at most one flit per cycle, so at a load of 1
+        or more its queue has no steady state.  Adaptive routes follow
+        the network's state, so under adaptive routing only the
+        ejection channels (when modelled) have a fixed load; the
+        network channels read 0.
+        """
+        nodes = self.network.num_nodes
+        net = self._num_network_channels
+        ejection = self.config.model_ejection
+        loads = np.zeros(net + (nodes if ejection else 0))
+        u, src, dst, p = self.pattern.flows()
+        if not self._adaptive:
+            channels, _, offsets = self.routes.routes(src, dst)
+            loads[:net] = np.bincount(
+                channels, weights=np.repeat(p, np.diff(offsets)), minlength=net
+            )
+            if u:
+                # Dimension-order routes are translation invariant, so
+                # uniform traffic puts on every channel what one
+                # source's routes to all others put on channels of its
+                # dimension and direction (the low digits of the id).
+                classes = net // nodes
+                channels, _, _ = self.routes.routes(
+                    np.zeros(nodes - 1, dtype=np.int64), np.arange(1, nodes)
+                )
+                share = np.bincount(channels % classes, minlength=classes)
+                loads[:net] += np.tile(u * share / (nodes - 1), nodes)
+        if ejection:
+            loads[net:] = u + np.bincount(dst, weights=p, minlength=nodes)
+        return loads * (self.effective_rate * self.config.message_length)
 
     def measured_channel_utilization(self) -> np.ndarray:
         """Per-channel flit utilisation over the measurement window."""

@@ -26,9 +26,12 @@ class SimulationResult:
     """Measured outcome of one simulation run.
 
     ``saturated`` mirrors the analytical model's notion: the offered
-    load was not drained at steady state (runaway backlog or a
-    completion deficit over the measurement window), so ``mean_latency``
-    — if finite — underestimates an unbounded quantity.
+    load has no steady state, so ``mean_latency`` — if finite —
+    underestimates an unbounded quantity.  A point is saturated when
+    some channel is offered one flit per cycle or more
+    (:meth:`~repro.simulator.network.TorusWorkload.offered_loads`),
+    whatever the finite window measured, or when the run shows it: a
+    runaway backlog or a completion deficit over the measurement window.
     """
 
     config: SimulationConfig
@@ -81,8 +84,10 @@ class Simulation:
         w = self.workload
         w.run()
         cfg = w.config
-        saturated = w.backlog_saturated() or (
-            w.drain_ratio() < cfg.min_drain_ratio
+        saturated = (
+            float(w.offered_loads().max()) >= 1.0
+            or w.backlog_saturated()
+            or w.drain_ratio() < cfg.min_drain_ratio
         )
         util = w.measured_channel_utilization()
         return SimulationResult(

@@ -1,4 +1,4 @@
-"""Streaming statistics: latency accumulators and batch-means CIs.
+"""Delivery statistics from arrays: latency moments and batch-means CIs.
 
 The paper runs each simulation "until the network reached its steady
 state, that is, until a further increase in simulated network cycles does
@@ -9,6 +9,14 @@ independent samples, and a Student-t confidence interval on their mean
 quantifies the remaining run-length error.  The interval's Student-t
 quantile is computed here from the exact finite series for integer
 degrees of freedom, so the runtime needs no statistics library.
+
+Latencies are whole cycles, so the accumulators fold a delivery log in
+one call per array: count, sum, sum of squares, minimum, maximum and hop
+total are exact integer reductions, and batch sums are cut at fixed
+completion counts with the unfinished batch carried to the next call.
+Exact sums do not depend on how a log is split into calls or on the
+order within a call, so every engine, job count and backend that
+delivers the same messages yields the same statistics, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
+
+import numpy as np
 
 __all__ = ["LatencyStats", "BatchMeans"]
 
@@ -65,42 +75,54 @@ def _t_quantile(level: float, df: int) -> float:
 
 
 class LatencyStats:
-    """Streaming mean/variance/extremes of per-message latencies."""
+    """Exact moments, extremes and hop total of integer latencies."""
 
-    __slots__ = ("count", "_mean", "_m2", "min", "max", "total_hops")
+    __slots__ = ("count", "total", "total_sq", "min", "max", "total_hops")
 
     def __init__(self) -> None:
         self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
+        self.total = 0
+        self.total_sq = 0
         self.min = math.inf
         self.max = -math.inf
         self.total_hops = 0
 
-    def record(self, latency: float, hops: int = 0) -> None:
-        """Welford update with one latency sample."""
-        if latency < 0:
-            raise ValueError(f"latency must be non-negative, got {latency}")
-        self.count += 1
-        delta = latency - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (latency - self._mean)
-        if latency < self.min:
-            self.min = latency
-        if latency > self.max:
-            self.max = latency
-        self.total_hops += hops
+    def fold(self, latencies, hops=None) -> None:
+        """Add integer latencies (cycles) and, optionally, their hop
+        counts, both array-like of one length."""
+        lat = np.asarray(latencies, dtype=np.int64)
+        if not lat.size:
+            return
+        lo, hi = int(lat.min()), int(lat.max())
+        if lo < 0:
+            raise ValueError(f"latency must be non-negative, got {lo}")
+        self.count += lat.size
+        self.total += int(lat.sum())
+        # Sum squares in int64 chunks small enough not to overflow.
+        chunk = max(1, (2**63 - 1) // max(1, hi * hi))
+        for i in range(0, lat.size, chunk):
+            part = lat[i : i + chunk]
+            self.total_sq += int(np.dot(part, part))
+        self.min = min(self.min, lo)
+        self.max = max(self.max, hi)
+        if hops is not None:
+            self.total_hops += int(np.sum(hops, dtype=np.int64))
+
+    def record(self, latency: int, hops: int = 0) -> None:
+        """Add one latency: the one-message case of :meth:`fold`."""
+        self.fold((latency,), (hops,))
 
     @property
     def mean(self) -> float:
-        return self._mean if self.count else math.nan
+        return self.total / self.count if self.count else math.nan
 
     @property
     def variance(self) -> float:
         """Unbiased sample variance."""
-        if self.count < 2:
+        n = self.count
+        if n < 2:
             return math.nan
-        return self._m2 / (self.count - 1)
+        return (n * self.total_sq - self.total * self.total) / (n * (n - 1))
 
     @property
     def std(self) -> float:
@@ -113,21 +135,9 @@ class LatencyStats:
 
     def merge(self, other: "LatencyStats") -> None:
         """Fold another accumulator into this one (parallel merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            self.total_hops = other.total_hops
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 = self._m2 + other._m2 + delta * delta * self.count * other.count / total
-        self._mean = (self._mean * self.count + other._mean * other.count) / total
-        self.count = total
+        self.count += other.count
+        self.total += other.total
+        self.total_sq += other.total_sq
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
         self.total_hops += other.total_hops
@@ -137,18 +147,15 @@ class LatencyStats:
 class BatchMeans:
     """Batch-means estimator of the steady-state mean latency.
 
-    A slots dataclass: :meth:`record` runs once per delivered message on
-    the simulator's hot path, so instances carry no ``__dict__``.
-
     Parameters
     ----------
     batch_size:
-        Completions per batch.  The first (partial) batch in progress is
-        excluded from interval computation.
+        Completions per batch.  The batch in progress is excluded from
+        interval computation.
     """
 
     batch_size: int = 500
-    _current_sum: float = field(default=0.0, repr=False)
+    _current_sum: int = field(default=0, repr=False)
     _current_count: int = field(default=0, repr=False)
     batch_averages: List[float] = field(default_factory=list)
 
@@ -156,13 +163,24 @@ class BatchMeans:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
-    def record(self, latency: float) -> None:
-        self._current_sum += latency
-        self._current_count += 1
-        if self._current_count == self.batch_size:
-            self.batch_averages.append(self._current_sum / self.batch_size)
-            self._current_sum = 0.0
-            self._current_count = 0
+    def fold(self, latencies) -> None:
+        """Add integer latencies (cycles), in completion order."""
+        lat = np.asarray(latencies, dtype=np.int64)
+        size = self.batch_size
+        # Exclusive ends of the batches these latencies complete.
+        ends = np.arange(size - self._current_count, lat.size + 1, size)
+        if ends.size:
+            sums = np.diff(np.cumsum(lat)[ends - 1], prepend=0)
+            sums[0] += self._current_sum
+            self.batch_averages.extend((sums / size).tolist())
+            self._current_sum = int(lat[ends[-1] :].sum())
+        else:
+            self._current_sum += int(lat.sum())
+        self._current_count = (self._current_count + lat.size) % size
+
+    def record(self, latency: int) -> None:
+        """Add one latency: the one-message case of :meth:`fold`."""
+        self.fold((latency,))
 
     @property
     def num_batches(self) -> int:

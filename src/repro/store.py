@@ -56,8 +56,10 @@ __all__ = [
 ]
 
 #: Bump to orphan every existing store entry (format or semantics change).
-#: Version 2 added the in-body schema/checksum envelope.
-CACHE_VERSION = 2
+#: Version 2 added the in-body schema/checksum envelope; version 3 marks
+#: the one-generator random stream, under which the same configuration
+#: simulates to different numbers.
+CACHE_VERSION = 3
 
 #: ``*.tmp`` files older than this are orphans of an interrupted writer
 #: and are removed by :meth:`ResultStore.clean_stale_tmp` (young ones may
@@ -136,7 +138,7 @@ class ResultStore:
 
     Entry bodies are versioned and checksummed::
 
-        {"schema": 2, "payload": {rate, latency, saturated}, "checksum": ...}
+        {"schema": 3, "payload": {rate, latency, saturated}, "checksum": ...}
 
     :meth:`get` validates schema version, checksum and field types; any
     corrupt, truncated or stale-schema entry is *quarantined* — moved to

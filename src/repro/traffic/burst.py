@@ -1,4 +1,4 @@
-"""Bursty (non-Poisson) source processes — the paper's future work.
+"""Arrival processes: the paper's Poisson sources and bursty alternatives.
 
 The conclusion of the paper: "there have been some attempts to construct
 analytical models for interconnection networks operating under
@@ -17,19 +17,23 @@ that extension for the *simulator*:
   sojourn times, the standard construction whose superposition over many
   sources exhibits self-similar traffic (Willinger et al.).
 
-All are *inter-arrival samplers*: ``next_gap(rng)`` returns the time to
-the next message.  They plug into
-:class:`~repro.simulator.network.TorusWorkload` via the
-``arrival_model`` parameter; the analytical model retains its Poisson
-assumption (i), so comparing the two under bursty load quantifies
-exactly the gap the paper's future work targets (see
+A model serves every source of a workload at once:
+:meth:`ArrivalModel.sample_gaps` draws the next inter-arrival gap of
+each source it is given, in one vectorised call on the workload's one
+generator, and a model with memory (the ON/OFF sources) keeps each
+source's state in an array indexed by source rank.  The workload takes
+its own copy, sized for its sources, through :meth:`ArrivalModel.fresh`.
+The models plug into :class:`~repro.simulator.network.TorusWorkload`
+via the ``arrival_model`` parameter; the analytical model retains its
+Poisson assumption (i), so comparing the two under bursty load
+quantifies exactly the gap the paper's future work targets (see
 ``examples/bursty_traffic.py``).
 """
 
 from __future__ import annotations
 
 import abc
-import math
+import copy
 
 import numpy as np
 
@@ -42,32 +46,23 @@ __all__ = [
 
 
 class ArrivalModel(abc.ABC):
-    """Per-source inter-arrival time sampler.
+    """Inter-arrival process of a workload's sources.
 
-    Implementations must be *stateful per source*: the workload creates
-    one instance per source via :meth:`fresh`.
+    Parameters are fixed at construction; per-source state, where the
+    process has any, lives in arrays sized by :meth:`fresh`.
     """
 
     @abc.abstractmethod
-    def next_gap(self, rng: np.random.Generator) -> float:
-        """Time (cycles, continuous) from the current arrival to the next."""
+    def sample_gaps(self, sources: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """The next inter-arrival gap (cycles, continuous) of each of
+        ``sources`` — distinct ranks below the count given to
+        :meth:`fresh` — advancing their state; one call serves them all."""
 
-    def sample_gaps(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` consecutive inter-arrival gaps as a float array.
-
-        The workload pre-draws gaps in blocks through this method
-        instead of calling :meth:`next_gap` once per message; renewal
-        processes with a vectorisable gap distribution should override
-        it (memoryless state must still advance exactly as ``count``
-        sequential :meth:`next_gap` calls would).
-        """
-        return np.fromiter(
-            (self.next_gap(rng) for _ in range(count)), dtype=float, count=count
-        )
-
-    @abc.abstractmethod
-    def fresh(self) -> "ArrivalModel":
-        """Independent copy with reset burst state (one per source)."""
+    def fresh(self, num_sources: int = 1) -> "ArrivalModel":
+        """Independent copy for ``num_sources`` sources, every source's
+        state reset; a model with per-source state overrides this to
+        size its arrays."""
+        return copy.copy(self)
 
     @property
     @abc.abstractmethod
@@ -83,16 +78,9 @@ class ExponentialArrivals(ArrivalModel):
             raise ValueError(f"rate must be positive, got {rate}")
         self.rate = float(rate)
 
-    def next_gap(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(1.0 / self.rate))
-
-    def sample_gaps(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        # The process is memoryless, so one vectorised draw is exactly
-        # `count` sequential next_gap calls.
-        return rng.exponential(1.0 / self.rate, size=count)
-
-    def fresh(self) -> "ExponentialArrivals":
-        return ExponentialArrivals(self.rate)
+    def sample_gaps(self, sources: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # Memoryless: one exponential draw per source, in the given order.
+        return rng.exponential(1.0 / self.rate, size=len(sources))
 
     @property
     def mean_rate(self) -> float:
@@ -109,7 +97,9 @@ class OnOffArrivals(ArrivalModel):
         duty = rate / peak_rate,   off_mean = on_mean * (1 - duty)/duty.
 
     ``burstiness = peak_rate / rate`` (> 1) measures how concentrated
-    the arrivals are; ``burstiness -> 1`` recovers Poisson.
+    the arrivals are; ``burstiness -> 1`` recovers Poisson.  Every source
+    starts at the end of an ON period, so its first gap opens with an
+    OFF period.
     """
 
     def __init__(
@@ -130,32 +120,50 @@ class OnOffArrivals(ArrivalModel):
         self.peak_rate = self.rate * self.burstiness
         duty = 1.0 / self.burstiness
         self.off_mean = self.on_mean * (1.0 - duty) / duty if duty < 1 else 0.0
-        self._on_left = 0.0  # remaining ON time; starts OFF-boundary
+        # Remaining ON time of each source.
+        self._on_left = np.zeros(1)
 
-    def next_gap(self, rng: np.random.Generator) -> float:
-        gap = 0.0
-        while True:
-            if self._on_left <= 0.0:
+    def _sojourn(self, rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
+        """``size`` ON or OFF period lengths of mean ``mean``."""
+        return rng.exponential(mean, size=size)
+
+    def sample_gaps(self, sources: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # Rounds over the sources still without an arrival: those at the
+        # end of an ON period draw an OFF period and a new ON period
+        # (in that order, for all of them), then every one draws a
+        # candidate gap at the peak rate; a candidate that outlasts the
+        # ON period burns the period and goes to the next round.
+        on_left = self._on_left[sources]
+        gap = np.zeros(len(sources))
+        todo = np.arange(len(sources))
+        while todo.size:
+            renew = todo[on_left[todo] <= 0.0]
+            if renew.size:
                 if self.off_mean > 0.0:
-                    gap += float(rng.exponential(self.off_mean))
-                self._on_left = float(rng.exponential(self.on_mean))
-            candidate = float(rng.exponential(1.0 / self.peak_rate))
-            if candidate <= self._on_left:
-                self._on_left -= candidate
-                return gap + candidate
-            # ON period ended before the next arrival: burn it and loop.
-            gap += self._on_left
-            self._on_left = 0.0
+                    gap[renew] += self._sojourn(rng, self.off_mean, renew.size)
+                on_left[renew] = self._sojourn(rng, self.on_mean, renew.size)
+            candidate = rng.exponential(1.0 / self.peak_rate, size=todo.size)
+            fits = candidate <= on_left[todo]
+            done = todo[fits]
+            gap[done] += candidate[fits]
+            on_left[done] -= candidate[fits]
+            todo = todo[~fits]
+            gap[todo] += on_left[todo]
+            on_left[todo] = 0.0
+        self._on_left[sources] = on_left
+        return gap
 
-    def fresh(self) -> "OnOffArrivals":
-        return OnOffArrivals(self.rate, self.burstiness, self.on_mean)
+    def fresh(self, num_sources: int = 1) -> "OnOffArrivals":
+        twin = super().fresh(num_sources)
+        twin._on_left = np.zeros(num_sources)
+        return twin
 
     @property
     def mean_rate(self) -> float:
         return self.rate
 
 
-class ParetoOnOffArrivals(ArrivalModel):
+class ParetoOnOffArrivals(OnOffArrivals):
     """ON/OFF source with Pareto-distributed sojourn times.
 
     Heavy-tailed ON/OFF sojourns (shape ``alpha`` in (1, 2)) give the
@@ -174,43 +182,13 @@ class ParetoOnOffArrivals(ArrivalModel):
     ) -> None:
         if not 1.0 < alpha < 2.0:
             raise ValueError(f"alpha must be in (1, 2), got {alpha}")
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        if burstiness < 1.0:
-            raise ValueError(f"burstiness must be >= 1, got {burstiness}")
-        self.rate = float(rate)
-        self.burstiness = float(burstiness)
-        self.on_mean = float(on_mean)
+        super().__init__(rate, burstiness, on_mean)
         self.alpha = float(alpha)
-        self.peak_rate = self.rate * self.burstiness
-        duty = 1.0 / self.burstiness
-        self.off_mean = self.on_mean * (1.0 - duty) / duty if duty < 1 else 0.0
-        self._on_left = 0.0
 
-    def _pareto(self, rng: np.random.Generator, mean: float) -> float:
+    def _pareto(self, rng: np.random.Generator, mean: float, size=None):
         # Pareto with shape alpha and mean `mean`: x_m = mean*(alpha-1)/alpha.
         xm = mean * (self.alpha - 1.0) / self.alpha
-        return float(xm / rng.random() ** (1.0 / self.alpha))
+        return xm / rng.random(size) ** (1.0 / self.alpha)
 
-    def next_gap(self, rng: np.random.Generator) -> float:
-        gap = 0.0
-        while True:
-            if self._on_left <= 0.0:
-                if self.off_mean > 0.0:
-                    gap += self._pareto(rng, self.off_mean)
-                self._on_left = self._pareto(rng, self.on_mean)
-            candidate = float(rng.exponential(1.0 / self.peak_rate))
-            if candidate <= self._on_left:
-                self._on_left -= candidate
-                return gap + candidate
-            gap += self._on_left
-            self._on_left = 0.0
-
-    def fresh(self) -> "ParetoOnOffArrivals":
-        return ParetoOnOffArrivals(
-            self.rate, self.burstiness, self.on_mean, self.alpha
-        )
-
-    @property
-    def mean_rate(self) -> float:
-        return self.rate
+    def _sojourn(self, rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
+        return self._pareto(rng, mean, size)

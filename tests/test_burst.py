@@ -10,11 +10,19 @@ from repro.traffic.burst import (
 )
 
 
-def empirical_rate(model, n=40_000, seed=0):
+def gaps(model, n, seed=0, sources=200):
+    """``n`` gaps of ``sources`` sources, drawn the way the workload
+    draws them: one ``sample_gaps`` call per round, per-source state in
+    the model's arrays.  Shape ``(n // sources, sources)``."""
     rng = np.random.default_rng(seed)
-    m = model.fresh()
-    total = sum(m.next_gap(rng) for _ in range(n))
-    return n / total
+    m = model.fresh(sources)
+    every = np.arange(sources)
+    return np.stack([m.sample_gaps(every, rng) for _ in range(n // sources)])
+
+
+def empirical_rate(model, n=40_000, seed=0):
+    g = gaps(model, n, seed)
+    return g.size / g.sum()
 
 
 class TestExponential:
@@ -27,10 +35,8 @@ class TestExponential:
         assert empirical_rate(model) == pytest.approx(0.01, rel=0.05)
 
     def test_gaps_exponential_cv(self):
-        rng = np.random.default_rng(1)
-        m = ExponentialArrivals(0.02)
-        gaps = np.array([m.next_gap(rng) for _ in range(20_000)])
-        cv2 = gaps.var() / gaps.mean() ** 2
+        g = gaps(ExponentialArrivals(0.02), 20_000, seed=1)
+        cv2 = g.var() / g.mean() ** 2
         assert cv2 == pytest.approx(1.0, abs=0.1)
 
     def test_fresh_is_independent(self):
@@ -55,22 +61,43 @@ class TestOnOff:
     def test_burstiness_one_is_poisson(self):
         model = OnOffArrivals(0.02, burstiness=1.0)
         assert model.off_mean == 0.0
-        rng = np.random.default_rng(2)
-        gaps = np.array([model.next_gap(rng) for _ in range(20_000)])
-        cv2 = gaps.var() / gaps.mean() ** 2
+        g = gaps(model, 20_000, seed=2)
+        cv2 = g.var() / g.mean() ** 2
         assert cv2 == pytest.approx(1.0, abs=0.1)
 
     def test_gap_variance_exceeds_poisson(self):
         """Burstiness must inflate the inter-arrival CV beyond 1."""
-        rng = np.random.default_rng(3)
         model = OnOffArrivals(0.01, burstiness=10.0, on_mean=500.0)
-        gaps = np.array([model.next_gap(rng) for _ in range(40_000)])
-        cv2 = gaps.var() / gaps.mean() ** 2
+        g = gaps(model, 40_000, seed=3)
+        cv2 = g.var() / g.mean() ** 2
         assert cv2 > 2.0
 
     def test_peak_rate(self):
         model = OnOffArrivals(0.01, burstiness=4.0)
         assert model.peak_rate == pytest.approx(0.04)
+
+    @pytest.mark.parametrize("model", [
+        OnOffArrivals(0.01, burstiness=5.0, on_mean=100.0),
+        ParetoOnOffArrivals(0.01, burstiness=5.0, on_mean=100.0, alpha=1.5),
+    ], ids=["exponential", "pareto"])
+    def test_state_is_per_source(self, model):
+        # A call advances exactly the sources it names: the others keep
+        # their state, and the mean rate holds whichever subsets of
+        # sources share the calls.
+        m = model.fresh(8)
+        rng = np.random.default_rng(5)
+        m.sample_gaps(np.arange(8), rng)
+        before = m._on_left.copy()
+        m.sample_gaps(np.array([1, 4, 6]), rng)
+        untouched = [0, 2, 3, 5, 7]
+        assert np.array_equal(m._on_left[untouched], before[untouched])
+        assert model._on_left.tolist() == [0.0]  # the original is untouched
+        totals, counts = np.zeros(8), np.zeros(8)
+        for _ in range(6_000):
+            subset = np.flatnonzero(rng.random(8) < 0.5)
+            totals[subset] += m.sample_gaps(subset, rng)
+            counts[subset] += 1
+        assert counts.sum() / totals.sum() == pytest.approx(0.01, rel=0.1)
 
 
 class TestParetoOnOff:

@@ -81,9 +81,13 @@ class TestBehaviour:
         assert res.latency > 8
 
     def test_zero_load(self):
-        m = NDimHotSpotModel(k=6, n=3, message_length=12, hotspot_fraction=0.4)
-        res = m.evaluate(0.0)
-        assert res.finite and res.iterations == 0
+        # Rate 0 is solved like any other rate, so the latency is
+        # continuous there: it meets the limit from above.
+        for k, n in ((64, 1), (8, 2), (4, 3), (6, 3)):
+            m = NDimHotSpotModel(k=k, n=n, message_length=32, hotspot_fraction=0.4)
+            zero, tiny = m.evaluate(0.0), m.evaluate(1e-12)
+            assert zero.finite and not zero.saturated
+            assert zero.latency == pytest.approx(tiny.latency, rel=1e-6), (k, n)
 
     def test_sweep(self):
         m = NDimHotSpotModel(k=8, n=2, message_length=16, hotspot_fraction=0.3)

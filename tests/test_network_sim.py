@@ -3,12 +3,14 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.simulator import Simulation, SimulationConfig, kernel
 from repro.simulator.network import TorusWorkload
 from repro.topology import DimensionOrderRouter
-from repro.traffic.patterns import TransposePattern
+from repro.traffic.patterns import MatrixPattern, TransposePattern
+from repro.traffic.rates import HotSpotRates, empirical_channel_rates
 
 
 BASE = SimulationConfig(
@@ -145,13 +147,31 @@ class TestStatisticsSanity:
         # window starts at warmup, not at the end of the run.
         cfg = SimulationConfig(
             k=4, message_length=4, rate=2e-3, hotspot_fraction=0.2,
-            warmup_cycles=1_000, measure_cycles=2_000, seed=14,
+            warmup_cycles=1_000, measure_cycles=2_000, seed=15,
         )
         sim = Simulation(cfg)
+        w = sim.workload
+        completions = []
+        record = w._record_deliveries
+
+        def hook(msg_ids, completed, generated, hops, hot):
+            completions.extend(completed.tolist())
+            record(msg_ids, completed, generated, hops, hot)
+
+        w._record_deliveries = hook
         res = sim.run()
-        assert res.num_completed == 60
-        assert sim.workload._cycles_at_warmup == cfg.warmup_cycles
-        assert res.max_channel_utilization == pytest.approx(0.028, abs=5e-4)
+        edge = cfg.warmup_cycles
+        # The scenario: every message generated before the edge has
+        # completed by then, the last on the cycle before it, and the
+        # next arrival comes later (one window holds the whole run).
+        before = [c for c in completions if c < edge]
+        assert len(before) == w._generated_at_warmup
+        assert max(before) == edge - 1
+        assert w._window_cycles >= cfg.total_cycles
+        assert not np.any(w._win_cycle == edge)
+        assert w._cycles_at_warmup == edge
+        assert res.num_completed == 58
+        assert res.max_channel_utilization == pytest.approx(0.020, abs=5e-4)
 
     def test_zero_rate(self, monkeypatch):
         # No arrivals is an idle network running to the end: the whole
@@ -230,6 +250,89 @@ class TestSaturationDetection:
         ).run()
         assert not uni.saturated
         assert hot.saturated
+
+    def test_offered_load_past_capacity_flags_saturated(self):
+        # Two percent past the busiest channel's capacity, a 10 000-cycle
+        # window at seed 11 neither builds a deep backlog nor falls
+        # below the drain ratio, yet the queue has no steady state: the
+        # offered load alone marks the point saturated.
+        base = SimulationConfig(k=8, message_length=16, rate=1.0,
+                                hotspot_fraction=0.3, warmup_cycles=1_000,
+                                measure_cycles=10_000, seed=11)
+        unit = TorusWorkload(base).offered_loads().max()
+        sim = Simulation(replace(base, rate=1.02 / unit))
+        res = sim.run()
+        assert not sim.workload.backlog_saturated()
+        assert sim.workload.drain_ratio() >= base.min_drain_ratio
+        assert res.saturated
+        assert math.isfinite(res.mean_latency)
+
+
+def random_matrix_pattern(network, seed):
+    m = np.random.default_rng(seed).random((network.num_nodes,) * 2)
+    np.fill_diagonal(m, 0.0)
+    return MatrixPattern(network, m / m.sum(axis=1, keepdims=True))
+
+
+class TestOfferedLoads:
+    @pytest.mark.parametrize("k,n,bidirectional", [
+        (4, 2, False), (5, 2, True), (3, 3, False), (6, 1, True),
+    ])
+    @pytest.mark.parametrize("kind", ["uniform", "hotspot", "matrix"])
+    def test_match_enumerated_routes(self, k, n, bidirectional, kind):
+        # Every channel's load equals the rate-weighted count of routes
+        # crossing it, enumerated pair by pair with the topology's own
+        # router; an ejection channel carries all traffic to its node.
+        cfg = SimulationConfig(
+            k=k, n=n, bidirectional=bidirectional, message_length=8,
+            rate=1e-3, hotspot_fraction=0.3 if kind == "hotspot" else 0.0,
+            hotspot_node=(1,) * n, model_ejection=True,
+        )
+        network = TorusWorkload(cfg).network
+        pattern = random_matrix_pattern(network, k * n) if kind == "matrix" else None
+        w = TorusWorkload(cfg, pattern=pattern)
+        expected = np.zeros(w.routes.num_channels + network.num_nodes)
+        rates = empirical_channel_rates(network, cfg.rate, w.pattern)
+        for ch, r in rates.items():
+            expected[w.routes.channel_id(network.rank(ch.src), ch.dim, ch.direction)] = r
+        for s in range(network.num_nodes):
+            expected[w.routes.num_channels:] += (
+                cfg.rate * w.pattern.destination_probabilities(s)
+            )
+        np.testing.assert_allclose(
+            w.offered_loads(), expected * cfg.message_length, rtol=1e-12, atol=1e-15
+        )
+
+    def test_busiest_channel_is_the_papers_hot_channel(self):
+        # Figure 2, h = 40%: the busiest channel is the last y channel
+        # into the hot node, at the load of the paper's rate equations.
+        # They omit the hot node's own messages, which are all regular,
+        # so the exact load is slightly higher.
+        cfg = SimulationConfig(k=16, message_length=100, rate=1.1e-4,
+                               hotspot_fraction=0.4)
+        w = TorusWorkload(cfg)
+        loads = w.offered_loads()
+        hot_channel = w.routes.channel_id(w.network.rank((0, 15)), 1)
+        assert int(np.argmax(loads)) == hot_channel
+        paper = HotSpotRates(16, cfg.rate, 0.4).total_rate_y(1) * 100
+        assert paper < loads[hot_channel] < paper * 1.001
+        assert loads[hot_channel] > 1.0
+
+    def test_adaptive_routing_fixes_only_ejection_loads(self):
+        cfg = replace(BASE, routing="adaptive", num_vcs=3, hotspot_fraction=0.3,
+                      model_ejection=True)
+        w = TorusWorkload(cfg)
+        loads = w.offered_loads()
+        net = w.routes.num_channels
+        assert not loads[:net].any()
+        hot = w.pattern.hotspot_rank
+        into_hot = sum(
+            w.pattern.destination_probabilities(s)[hot]
+            for s in range(w.network.num_nodes)
+        )
+        assert loads[net + hot] == pytest.approx(
+            cfg.rate * cfg.message_length * into_hot, rel=1e-12
+        )
 
 
 class TestCustomPattern:

@@ -191,3 +191,88 @@ class TestMatrix:
         assert counts[0] == 0
         assert counts[1] / 10_000 == pytest.approx(0.5, abs=0.03)
         assert counts[2] / 10_000 == pytest.approx(0.25, abs=0.03)
+
+
+def chi2_critical(df, z=3.719):
+    """Upper 1e-4 quantile of chi-square with ``df`` degrees of freedom
+    (Wilson–Hilferty; z is the standard normal 1e-4 quantile)."""
+    return df * (1 - 2 / (9 * df) + z * np.sqrt(2 / (9 * df))) ** 3
+
+
+def all_patterns(net):
+    matrix = np.full((net.num_nodes, net.num_nodes), 0.0)
+    for s in range(net.num_nodes):
+        matrix[s, (s + 1) % net.num_nodes] = 0.6
+        matrix[s, (s + 5) % net.num_nodes] = 0.4
+    return [
+        UniformPattern(net),
+        HotSpotPattern(net, 0.3),
+        HotSpotPattern(net, 0.7, hotspot_node=(2, 1)),
+        TransposePattern(net),
+        BitReversalPattern(net),
+        MatrixPattern(net, matrix),
+    ]
+
+
+PATTERN_IDS = ["uniform", "hotspot", "hotspot-offset", "transpose",
+               "bit-reversal", "matrix"]
+
+
+class TestDrawMany:
+    @pytest.mark.parametrize("index", range(6), ids=PATTERN_IDS)
+    def test_chi_square_against_probabilities(self, net, index):
+        # 20 000 messages from each of several sources (the hot node, a
+        # diagonal/fixed point and ordinary nodes among them): the
+        # counts fit destination_probabilities at the 1e-4 level, and
+        # no zero-probability destination is ever drawn.
+        pattern = all_patterns(net)[index]
+        rng = np.random.default_rng(index)
+        trials = 20_000
+        for src in (0, 5, 6, 9, 15, net.rank((2, 1))):
+            dest = pattern.draw_many(np.full(trials, src), rng)
+            assert dest.dtype == np.int64
+            counts = np.bincount(dest, minlength=net.num_nodes)
+            p = pattern.destination_probabilities(src)
+            assert counts[p == 0].sum() == 0, (src, counts)
+            live = p > 0
+            if live.sum() == 1:
+                continue
+            expected = trials * p[live]
+            chi2 = float(((counts[live] - expected) ** 2 / expected).sum())
+            assert chi2 < chi2_critical(live.sum() - 1), (src, chi2)
+
+    @pytest.mark.parametrize("index", range(6), ids=PATTERN_IDS)
+    def test_never_self_and_equal_to_one_draw_per_message(self, net, index):
+        # A mixed batch never returns its source, and draws exactly what
+        # one draw() per message, in order, would — generator state
+        # included.
+        pattern = all_patterns(net)[index]
+        sources = np.random.default_rng(7).integers(0, net.num_nodes, 5_000)
+        batch, single = np.random.default_rng(8), np.random.default_rng(8)
+        dest = pattern.draw_many(sources, batch)
+        assert not np.any(dest == sources)
+        assert dest.tolist() == [pattern.draw(s, single) for s in sources.tolist()]
+        assert batch.bit_generator.state == single.bit_generator.state
+
+    def test_empty_batch_draws_nothing(self, net, rng):
+        state = rng.bit_generator.state
+        for pattern in all_patterns(net):
+            assert pattern.draw_many(np.empty(0, dtype=np.int64), rng).size == 0
+        assert rng.bit_generator.state == state
+
+
+class TestFlows:
+    @pytest.mark.parametrize("index", range(6), ids=PATTERN_IDS)
+    def test_flows_rebuild_the_probabilities(self, net, index):
+        # The uniform share plus the listed (source, destination) shares
+        # give back every source's destination_probabilities.
+        pattern = all_patterns(net)[index]
+        n = net.num_nodes
+        u, src, dst, p = pattern.flows()
+        assert 0.0 <= u <= 1.0
+        assert not np.any(src == dst)
+        matrix = np.full((n, n), u / (n - 1))
+        np.fill_diagonal(matrix, 0.0)
+        np.add.at(matrix, (src, dst), p)
+        expected = np.array([pattern.destination_probabilities(s) for s in range(n)])
+        np.testing.assert_allclose(matrix, expected, rtol=0, atol=1e-15)

@@ -11,6 +11,82 @@ from repro.simulator.stats import BatchMeans, LatencyStats, _t_quantile
 LEVELS = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
 
 
+class WelfordOracle:
+    """Per-message reference: Welford's mean and variance, running
+    extremes and hop total, and batch averages closed one message at a
+    time."""
+
+    def __init__(self, batch_size):
+        self.count = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+        self.total_hops = 0
+        self.batch_size = batch_size
+        self.batch_sum = 0.0
+        self.batch_count = 0
+        self.batch_averages = []
+
+    def record(self, latency, hops):
+        self.count += 1
+        delta = latency - self.mean
+        self.mean += delta / self.count
+        self.m2 += delta * (latency - self.mean)
+        self.min = min(self.min, latency)
+        self.max = max(self.max, latency)
+        self.total_hops += hops
+        self.batch_sum += latency
+        self.batch_count += 1
+        if self.batch_count == self.batch_size:
+            self.batch_averages.append(self.batch_sum / self.batch_size)
+            self.batch_sum = 0.0
+            self.batch_count = 0
+
+    @property
+    def variance(self):
+        return self.m2 / (self.count - 1)
+
+
+class TestFoldMatchesWelford:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_splits(self, seed):
+        # Integer latencies, some far in the tail, folded in calls of
+        # random size (empty calls included): exact fields equal the
+        # per-message oracle, the moments agree to 1e-12 relative.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1_000, 5_000))
+        latency = rng.geometric(1 / 60, size=n) + rng.integers(0, 3, n) * 5_000
+        hops = rng.integers(1, 16, size=n)
+        batch_size = int(rng.integers(1, 300))
+        oracle = WelfordOracle(batch_size)
+        for lat, hop in zip(latency.tolist(), hops.tolist()):
+            oracle.record(lat, hop)
+        stats, batches = LatencyStats(), BatchMeans(batch_size=batch_size)
+        cuts = np.sort(rng.integers(0, n + 1, size=int(rng.integers(1, 40))))
+        for part_lat, part_hops in zip(np.split(latency, cuts), np.split(hops, cuts)):
+            stats.fold(part_lat, part_hops)
+            batches.fold(part_lat)
+        assert stats.count == oracle.count
+        assert (stats.min, stats.max) == (oracle.min, oracle.max)
+        assert stats.total_hops == oracle.total_hops
+        assert batches.batch_averages == oracle.batch_averages
+        reference = BatchMeans(batch_size=batch_size)
+        reference.batch_averages = oracle.batch_averages
+        assert batches.confidence_interval() == reference.confidence_interval()
+        assert stats.mean == pytest.approx(oracle.mean, rel=1e-12)
+        assert stats.variance == pytest.approx(oracle.variance, rel=1e-12)
+
+    def test_large_latencies_do_not_overflow(self):
+        # Squares of latencies near 2**31 overflow int64 within a few
+        # terms; the exact sum of squares must not.
+        latency = np.full(10, 2**31 + 7, dtype=np.int64)
+        stats = LatencyStats()
+        stats.fold(latency)
+        assert stats.total_sq == 10 * (2**31 + 7) ** 2
+        assert stats.variance == 0.0
+
+
 class TestLatencyStats:
     def test_empty(self):
         s = LatencyStats()
@@ -20,10 +96,9 @@ class TestLatencyStats:
 
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
-        data = rng.exponential(50, size=500)
+        data = rng.geometric(1 / 50, size=500)
         s = LatencyStats()
-        for x in data:
-            s.record(float(x))
+        s.fold(data)
         assert s.mean == pytest.approx(float(np.mean(data)))
         assert s.variance == pytest.approx(float(np.var(data, ddof=1)))
         assert s.min == pytest.approx(float(data.min()))
@@ -41,19 +116,17 @@ class TestLatencyStats:
 
     def test_merge_equals_sequential(self):
         rng = np.random.default_rng(1)
-        data = rng.uniform(1, 100, size=300)
+        data = rng.integers(1, 100, size=300)
         whole = LatencyStats()
         for x in data:
-            whole.record(float(x))
+            whole.record(int(x))
         a, b = LatencyStats(), LatencyStats()
-        for x in data[:120]:
-            a.record(float(x))
-        for x in data[120:]:
-            b.record(float(x))
+        a.fold(data[:120])
+        b.fold(data[120:])
         a.merge(b)
         assert a.count == whole.count
-        assert a.mean == pytest.approx(whole.mean)
-        assert a.variance == pytest.approx(whole.variance)
+        assert a.mean == whole.mean
+        assert a.variance == whole.variance
 
     def test_merge_with_empty(self):
         a = LatencyStats()
@@ -89,8 +162,7 @@ class TestBatchMeans:
     def test_ci_covers_true_mean(self):
         rng = np.random.default_rng(3)
         bm = BatchMeans(batch_size=100)
-        for x in rng.exponential(10.0, size=10_000):
-            bm.record(float(x))
+        bm.fold(rng.geometric(0.1, size=10_000))  # mean 10
         ci = bm.confidence_interval(0.95)
         assert ci is not None
         assert abs(bm.mean() - 10.0) < 3 * ci  # generous but meaningful

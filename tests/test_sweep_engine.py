@@ -160,6 +160,34 @@ class TestCache:
         second = engine.run_panel(spec, **kwargs)
         assert second.simulation == first.simulation
 
+    def test_store_from_before_the_version_bump_misses(self, tmp_path, monkeypatch):
+        # Version 3 changed the simulator's random stream, so a store
+        # written by version 2 holds old-stream numbers for the very
+        # configs that now simulate to others: every point must miss.
+        import repro.store as store_mod
+
+        assert store_mod.CACHE_VERSION == 3
+        spec = tiny_panel(rates=(0.004, 0.01))
+        kwargs = dict(seed=1, measure_cycles=3_000, warmup_cycles=500)
+        with monkeypatch.context() as m:
+            m.setattr(store_mod, "CACHE_VERSION", 2)
+            SweepEngine(jobs=1, use_cache=True, cache_dir=tmp_path).run_panel(
+                spec, **kwargs
+            )
+        old = set(tmp_path.glob("*.json"))
+        assert len(old) == 2
+        runs = []
+        simulation = sweep_mod.Simulation
+        monkeypatch.setattr(
+            sweep_mod, "Simulation",
+            lambda *a, **k: runs.append(a) or simulation(*a, **k),
+        )
+        SweepEngine(jobs=1, use_cache=True, cache_dir=tmp_path).run_panel(
+            spec, **kwargs
+        )
+        assert len(runs) == 2
+        assert len(set(tmp_path.glob("*.json")) - old) == 2
+
     def test_saturated_point_roundtrips(self, tmp_path, monkeypatch):
         spec = tiny_panel(rates=(0.18,))  # deep saturation
         kwargs = dict(seed=1, measure_cycles=3_000, warmup_cycles=500)
