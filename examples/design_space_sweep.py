@@ -43,23 +43,11 @@ def q2_radix_vs_dimension() -> None:
     print("-" * 52)
     for k, n in ((256, 1), (16, 2), (4, 4), (2, 8)):
         model = NDimHotSpotModel(
-            k=max(k, 3) if k >= 3 else 3,  # model needs k >= 3
-            n=n,
-            message_length=LM,
-            hotspot_fraction=H,
-        ) if k >= 3 else None
-        if model is None:
-            print(f"{f'{k}^{n}':>10} | {'(k<3 unsupported)':>16} |")
-            continue
-        sat_lo, sat_hi = 0.0, 0.05
-        for _ in range(40):
-            mid = (sat_lo + sat_hi) / 2
-            if model.evaluate(mid).saturated:
-                sat_hi = mid
-            else:
-                sat_lo = mid
+            k=k, n=n, message_length=LM, hotspot_fraction=H
+        )
+        sat = model.saturation_rate(hi=0.05)
         lat0 = model.evaluate(0.0).latency
-        print(f"{f'{k}^{n}':>10} | {sat_hi:>16.6f} | {lat0:>18.1f}")
+        print(f"{f'{k}^{n}':>10} | {sat:>16.6f} | {lat0:>18.1f}")
     print("(Low-dimensional high-radix networks walk farther per message;"
           "\n high-dimensional ones concentrate hot traffic on the last "
           "dimension's\n final channels — the bottleneck rate "

@@ -4,15 +4,13 @@ A :class:`SweepBackend` is the execution substrate of one sweep
 campaign: the :class:`~repro.experiments.sweep.SweepEngine` hands it an
 ordered mapping of *work units* (one simulation point each) and two
 streaming callbacks, and the backend runs every unit to completion or
-terminal failure — however it likes: one at a time in the calling
-process (:class:`~repro.backends.local.InlineBackend`), on a local
-process pool (:class:`~repro.backends.local.LocalPoolBackend`) or
-cooperatively with any number of worker processes on a shared
-filesystem (:class:`~repro.backends.filequeue.FileQueueBackend`).
+terminal failure: one at a time in the calling process
+(:class:`~repro.backends.local.InlineBackend`) or on a local process
+pool (:class:`~repro.backends.local.LocalPoolBackend`).
 
 The contract is exactly the one
 :meth:`repro.resilience.ResilientExecutor.run` established — the local
-pool backend *is* that executor, and every other backend must be
+pool backend *is* that executor, and the in-process backend must be
 indistinguishable from it result-wise:
 
 * retried units re-run identical configurations, so results are
@@ -21,10 +19,6 @@ indistinguishable from it result-wise:
   caches there) and may return keys to *drop* (cancel);
 * terminal failures surface as :class:`~repro.resilience.TaskFailure`
   records, never exceptions — one bad unit cannot discard a campaign.
-
-The split is modelled on firesim's runtools run-farm layer: one
-interface, a local implementation, and an externally-provisioned
-implementation whose hosts merely run a worker agent.
 """
 
 from __future__ import annotations
@@ -40,9 +34,6 @@ __all__ = ["SweepBackend"]
 class SweepBackend(ABC):
     """Executes one campaign's work units under a retry policy."""
 
-    #: Short selector string (``"local"``, ``"file"``) for CLI/report use.
-    name: str = "backend"
-
     @abstractmethod
     def run(
         self,
@@ -53,7 +44,6 @@ class SweepBackend(ABC):
         stats: ExecutorStats,
         on_result: Optional[Callable] = None,
         on_retry: Optional[Callable] = None,
-        store: Optional[object] = None,
     ) -> Tuple[Dict[Hashable, object], Dict[Hashable, TaskFailure]]:
         """Run every task to completion or terminal failure.
 
@@ -61,11 +51,7 @@ class SweepBackend(ABC):
         ``fn(*tasks[key], attempt)`` is the unit of work, ``on_result``
         streams completions (and may return keys to drop), ``on_retry``
         observes every charged non-terminal failure, ``policy`` budgets
-        retries/timeouts and ``stats`` accumulates counters.  ``store``
-        is the campaign's shared :class:`~repro.store.ResultStore` (or
-        ``None``): distributed backends advertise it to their workers so
-        completed points are persisted at the worker, not just at the
-        coordinator.
+        retries/timeouts and ``stats`` accumulates counters.
 
         Returns ``(results, failures)`` keyed like ``tasks``; every
         non-dropped key appears in exactly one of the two mappings.

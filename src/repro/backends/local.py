@@ -35,8 +35,6 @@ class LocalPoolBackend(SweepBackend):
         Worker processes of the underlying pool.
     """
 
-    name = "local"
-
     def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -51,10 +49,7 @@ class LocalPoolBackend(SweepBackend):
         stats: ExecutorStats,
         on_result: Optional[Callable] = None,
         on_retry: Optional[Callable] = None,
-        store: Optional[object] = None,
     ) -> Tuple[Dict[Hashable, object], Dict[Hashable, TaskFailure]]:
-        # ``store`` is unused: the engine itself caches completions via
-        # on_result, and pool workers share the engine's process image.
         executor = ResilientExecutor(self.jobs, policy, stats=stats)
         return executor.run(fn, tasks, on_result=on_result, on_retry=on_retry)
 
@@ -69,8 +64,6 @@ class InlineBackend(SweepBackend):
     process — so the engine only accepts a timeout on the pool.
     """
 
-    name = "local"
-
     def run(
         self,
         fn: Callable,
@@ -80,9 +73,7 @@ class InlineBackend(SweepBackend):
         stats: ExecutorStats,
         on_result: Optional[Callable] = None,
         on_retry: Optional[Callable] = None,
-        store: Optional[object] = None,
     ) -> Tuple[Dict[Hashable, object], Dict[Hashable, TaskFailure]]:
-        # ``store`` is unused: the engine caches completions via on_result.
         results: Dict[Hashable, object] = {}
         failures: Dict[Hashable, TaskFailure] = {}
         dropped: set = set()

@@ -45,7 +45,6 @@ __all__ = [
     "git_rev",
     "measure_model",
     "measure_model_batch",
-    "measure_distributed_sweep",
     "measure_simulator",
     "measure_sweep",
     "run_sim_once",
@@ -204,7 +203,7 @@ def measure_model_batch(*, rounds: int = 3) -> Dict[str, object]:
     }
 
 
-def measure_sweep(*, jobs: int = 2, backend: object = None) -> Dict[str, object]:
+def measure_sweep(*, jobs: int = 2) -> Dict[str, object]:
     """End-to-end throughput of a small parallel sweep campaign.
 
     Runs a tiny uncached panel through the resilient sweep engine
@@ -212,8 +211,7 @@ def measure_sweep(*, jobs: int = 2, backend: object = None) -> Dict[str, object]
     points/sec plus the engine's resilience counters — retries, timeouts,
     pool rebuilds and terminally failed points — so a campaign that only
     succeeded by retrying shows up in the BENCH report rather than
-    passing silently.  ``backend`` overrides the execution substrate
-    (see :func:`measure_distributed_sweep`).
+    passing silently.
     """
     from repro.experiments.figures import PanelSpec
     from repro.experiments.sweep import SweepEngine
@@ -228,7 +226,7 @@ def measure_sweep(*, jobs: int = 2, backend: object = None) -> Dict[str, object]
         paper_axis_max_rate=0.02,
         paper_axis_max_latency=200.0,
     )
-    engine = SweepEngine(jobs=jobs, use_cache=False, backend=backend)
+    engine = SweepEngine(jobs=jobs, use_cache=False)
     t0 = time.perf_counter()
     sweep = engine.simulation_sweep(spec, measure_cycles=2_000)
     seconds = time.perf_counter() - t0
@@ -238,39 +236,10 @@ def measure_sweep(*, jobs: int = 2, backend: object = None) -> Dict[str, object]
         "points_per_sec": points / seconds if seconds > 0 else 0.0,
         "seconds": seconds,
         "jobs": jobs,
-        "backend": engine.backend.name,
+        "backend": "local",
         "failed_points": len(sweep.failures),
         **engine.stats.as_dict(),
     }
-
-
-def measure_distributed_sweep(*, workers: int = 2) -> Dict[str, object]:
-    """The :func:`measure_sweep` campaign on the file-queue backend.
-
-    Spawns ``workers`` real ``repro worker`` subprocesses cooperating
-    through a throwaway campaign directory, so the BENCH report captures
-    the lease/heartbeat protocol overhead next to the local-pool number
-    — the two sections are directly comparable (same panel, same
-    window).
-    """
-    import tempfile
-
-    from repro.backends import FileQueueBackend
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-campaign-") as tmp:
-        backend = FileQueueBackend(
-            tmp,
-            spawn_workers=workers,
-            lease_timeout=30.0,
-            heartbeat_timeout=10.0,
-            poll_interval=0.05,
-            worker_poll_interval=0.05,
-            worker_heartbeat_interval=1.0,
-            speculate_factor=None,
-        )
-        section = measure_sweep(jobs=1, backend=backend)
-    section["workers"] = workers
-    return section
 
 
 def config_hash(cfg: SimulationConfig) -> str:
@@ -310,9 +279,6 @@ def build_report(*, quick: bool = False, rounds: int = 3) -> Dict[str, object]:
         "model": measure_model(rounds=rounds),
         "model_batch": measure_model_batch(rounds=rounds),
         "resilience": measure_sweep(),
-        # Worker subprocess startup dominates in the quick (CI smoke)
-        # window, so the distributed section is full-report only.
-        "distributed": None if quick else measure_distributed_sweep(),
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,

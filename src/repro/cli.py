@@ -9,7 +9,6 @@ Commands
 ``figure``      regenerate every panel of a figure in one parallel run
 ``list-panels`` show the available panels
 ``bench``       measure engine throughput, write/check a BENCH_*.json report
-``worker``      serve a distributed sweep campaign directory
 
 ``panel`` and ``figure`` run on the sweep engine
 (:class:`repro.experiments.sweep.SweepEngine`): ``--jobs N`` fans the
@@ -21,19 +20,13 @@ figure is near-free; ``--no-cache`` bypasses the cache.
 Sweeps are fault-tolerant: each simulation point is retried up to
 ``--max-retries`` times with capped exponential backoff (retried points
 re-run the same per-point seed, so results stay bit-identical), a hung
-point is killed after ``--point-timeout`` seconds (``--jobs > 1`` on the
-local backend only; anywhere else the option is an error, exit 2), and
-every completed point is checkpointed to a JSONL journal next to the
-cache — an interrupted ``panel``/``figure`` run re-invoked with
-``--resume`` picks up where it left off.  Points that exhaust their retry budget are
+point is killed after ``--point-timeout`` seconds (``--jobs > 1`` only;
+with ``--jobs 1`` the option is an error, exit 2), and every completed
+point is checkpointed to a JSONL journal next to the cache — an
+interrupted ``panel``/``figure`` run re-invoked with ``--resume`` picks
+up where it left off.  Points that exhaust their retry budget are
 reported per panel and fail the command (exit 1) unless
 ``--allow-failures`` opts back into shipping a partial sweep.
-
-``--backend file:<campaign-dir>`` (or ``REPRO_BACKEND``) runs the sweep
-on the distributed file-queue backend: start ``repro worker
-<campaign-dir>`` on any hosts sharing that directory and they claim
-work via atomic lease files, with heartbeat health monitoring and
-crash-consistent requeue (see ``repro.backends``).
 
 Examples
 --------
@@ -47,8 +40,6 @@ Examples
     python -m repro figure 1 --simulate --jobs 8 --cycles 30000
     python -m repro bench --output benchmarks/results/
     python -m repro bench --quick --check benchmarks/results/BENCH_baseline.json
-    python -m repro figure 1 --simulate --backend file:/shared/campaign
-    python -m repro worker /shared/campaign          # on each worker host
 """
 
 from __future__ import annotations
@@ -145,16 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--point-timeout", type=float, default=None,
                        metavar="SECS",
                        help="wall-clock seconds per point attempt before the "
-                       "worker is presumed hung (needs --jobs > 1 on the "
-                       "local backend; an error otherwise)")
+                       "worker is presumed hung (needs --jobs > 1; an error "
+                       "otherwise)")
         p.add_argument("--resume", action="store_true",
                        help="restore checkpointed points of an interrupted "
                        "run from the campaign journal")
-        p.add_argument("--backend", default=None, metavar="SEL",
-                       help="sweep backend: 'local' (default; also "
-                       "$REPRO_BACKEND) or 'file:<campaign-dir>' for the "
-                       "distributed file-queue backend (start workers "
-                       "with `repro worker <campaign-dir>`)")
         p.add_argument("--allow-failures", action="store_true",
                        help="exit 0 even when some points exhausted their "
                        "retry budget (default: partial sweeps exit 1)")
@@ -171,40 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_args(p_fig)
 
     sub.add_parser("list-panels", help="list the paper's figure panels")
-
-    p_worker = sub.add_parser(
-        "worker",
-        help="serve a distributed sweep campaign (file-queue backend)",
-    )
-    p_worker.add_argument(
-        "campaign_dir",
-        help="shared campaign directory (the --backend file:<dir> argument)",
-    )
-    p_worker.add_argument(
-        "--id", default=None, metavar="NAME",
-        help="stable worker identity for lease/heartbeat files "
-        "(default: generated)",
-    )
-    p_worker.add_argument(
-        "--poll", type=float, default=0.2, metavar="SECS",
-        help="queue scan period when idle (default 0.2)",
-    )
-    p_worker.add_argument(
-        "--heartbeat", type=float, default=5.0, metavar="SECS",
-        help="heartbeat/lease refresh period (default 5)",
-    )
-    p_worker.add_argument(
-        "--lease-duration", type=float, default=60.0, metavar="SECS",
-        help="advisory lease lifetime written into claims (default 60)",
-    )
-    p_worker.add_argument(
-        "--once", action="store_true",
-        help="exit when the queue drains instead of waiting for more work",
-    )
-    p_worker.add_argument(
-        "--max-units", type=_positive_int, default=None, metavar="N",
-        help="exit after completing N work units",
-    )
 
     p_bench = sub.add_parser(
         "bench",
@@ -337,7 +289,6 @@ def _sweep_engine(args: argparse.Namespace) -> SweepEngine:
         max_retries=args.max_retries,
         point_timeout=args.point_timeout,
         resume=args.resume,
-        backend=args.backend,
     )
 
 
@@ -447,14 +398,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{res['retries']} retries, {res['pool_rebuilds']} rebuilds, "
             f"{res['failed_points']} failed)"
         )
-    dist = report.get("distributed")
-    if dist is not None:
-        print(
-            f"sweep [file-queue, {dist['workers']} workers]: "
-            f"{dist['points_per_sec']:,.1f} points/s "
-            f"({dist['points']} pts in {dist['seconds']:.3f}s; "
-            f"{dist['retries']} retries, {dist['failed_points']} failed)"
-        )
     print(f"config {report['config_hash']}  rev {report['git_rev']}")
     if args.output is not None:
         path = bench.write_report(report, args.output)
@@ -486,26 +429,6 @@ def _cmd_list_panels() -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro import faults
-    from repro.backends.worker import FileQueueWorker
-
-    # Arm the distributed fault hooks (worker-kill/heartbeat-stall/
-    # lease-steal) — they only ever fire in a real worker process.
-    faults.mark_worker_process()
-    worker = FileQueueWorker(
-        args.campaign_dir,
-        worker_id=args.id,
-        poll_interval=args.poll,
-        heartbeat_interval=args.heartbeat,
-        lease_duration=args.lease_duration,
-        once=args.once,
-    )
-    done = worker.run(max_units=args.max_units)
-    print(f"worker {worker.worker_id}: {done} unit(s) completed")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "model":
@@ -527,6 +450,4 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_bench(args)
     if args.command == "list-panels":
         return _cmd_list_panels()
-    if args.command == "worker":
-        return _cmd_worker(args)
     raise AssertionError(f"unhandled command {args.command!r}")

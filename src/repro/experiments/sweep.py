@@ -17,18 +17,13 @@ One campaign loop
     saturated point, so the returned
     :class:`~repro.core.results.SweepResult` is identical.
 
-Pluggable execution backends
-    Every campaign runs on a :class:`~repro.backends.SweepBackend`.
-    The default ``local`` selector resolves to the
+Two execution backends
+    Every campaign runs on a :class:`~repro.backends.SweepBackend`
+    picked from ``jobs`` alone: the
     :class:`~repro.backends.InlineBackend` (in this process) for
-    ``jobs=1`` and to the :class:`~repro.backends.LocalPoolBackend` (a
-    resilient pool of ``jobs`` processes) otherwise;
-    ``backend="file:<campaign-dir>"`` (or ``REPRO_BACKEND=file:<dir>``)
-    coordinates any number of ``repro worker`` processes across hosts
-    sharing a filesystem (:class:`~repro.backends.FileQueueBackend`)
-    with lease-based claiming, heartbeat health monitoring and
-    crash-consistent requeue — results stay bit-identical on every
-    backend.
+    ``jobs=1`` and the :class:`~repro.backends.LocalPoolBackend` (a
+    resilient pool of ``jobs`` processes) otherwise — results are
+    bit-identical on both.
 
 Fault tolerance
     Points run under the backend's retry policy: on the pool every
@@ -75,8 +70,8 @@ On-disk result cache
     when set, else ``~/.cache/repro/sweeps``; ``use_cache=False`` (CLI
     ``--no-cache``) bypasses it entirely.  The implementation is the
     shared :class:`repro.store.ResultStore` — concurrent-writer safe
-    (unique-tmp + atomic rename), so distributed file-queue workers on
-    other hosts populate the same store the local engine reads.
+    (unique-tmp + atomic rename), so two ``repro`` processes can share
+    one store.
 
 The legacy entry points :func:`repro.experiments.runner.run_panel` and
 ``run_panel_model_only`` delegate here with ``jobs=1``, which runs the
@@ -94,7 +89,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.backends import LocalPoolBackend, SweepBackend, resolve_backend
+from repro.backends import InlineBackend, LocalPoolBackend
 from repro.core.model import HotSpotLatencyModel
 from repro.core.results import SweepPoint, SweepResult
 from repro.experiments.figures import PanelSpec
@@ -228,7 +223,7 @@ class SweepEngine:
     Parameters
     ----------
     jobs:
-        Simulation worker processes of the default ``local`` backend.
+        Simulation worker processes; this alone picks the backend.
         ``1`` (default) runs points one at a time in this process
         (:class:`~repro.backends.InlineBackend`); ``>1`` runs the points
         of every panel of a call on a pool of ``jobs`` processes
@@ -253,26 +248,15 @@ class SweepEngine:
     point_timeout:
         Wall-clock seconds per point attempt.  A timed-out worker is
         presumed hung, terminated, and its point retried on a rebuilt
-        pool.  Only the local pool (``jobs > 1``) can enforce it, so any
-        other backend raises :class:`ValueError`.  ``None`` (default)
+        pool.  Only the local pool (``jobs > 1``) can enforce it, so
+        ``jobs=1`` raises :class:`ValueError`.  ``None`` (default)
         disables the deadline.
     backoff_base:
         Base of the capped exponential retry backoff (seconds).
-    jitter:
-        Decorrelate retry backoff delays (see
-        :class:`~repro.resilience.RetryPolicy`).  Off by default so
-        chaos replay stays deterministic.
     resume:
         Default for :meth:`run_panels`'s ``resume``: restore
         checkpointed points from the campaign journal instead of
         recomputing them.
-    backend:
-        Execution substrate of the campaigns: ``None`` (consult
-        ``$REPRO_BACKEND``, default local), a selector string
-        (``"local"``, ``"file:<campaign-dir>"``) or a
-        :class:`~repro.backends.SweepBackend` instance.  A distributed
-        backend's parallelism is however many workers join, and the
-        shared result store is advertised to its workers.
 
     ``stats`` accumulates :class:`~repro.resilience.ExecutorStats`
     (retries, timeouts, pool rebuilds, terminal failures) across this
@@ -297,9 +281,7 @@ class SweepEngine:
         max_retries: int = 2,
         point_timeout: Optional[float] = None,
         backoff_base: float = 0.05,
-        jitter: bool = False,
         resume: bool = False,
-        backend: "str | SweepBackend | None" = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -309,19 +291,18 @@ class SweepEngine:
             max_retries=max_retries,
             point_timeout=point_timeout,
             backoff_base=backoff_base,
-            jitter=jitter,
         )
         self.resume = bool(resume)
         self.stats = ExecutorStats()
-        self.backend = resolve_backend(backend, jobs=self.jobs)
-        if point_timeout is not None and not isinstance(
-            self.backend, LocalPoolBackend
-        ):
+        if point_timeout is not None and self.jobs == 1:
             raise ValueError(
                 f"point_timeout={point_timeout:g} can only be enforced on "
-                f"the local process pool (jobs > 1); got jobs={self.jobs} "
-                f"on the {self.backend.name!r} backend"
+                "the local process pool (jobs > 1); got jobs=1 on the "
+                "'local' backend"
             )
+        self.backend = (
+            InlineBackend() if self.jobs == 1 else LocalPoolBackend(self.jobs)
+        )
         self.cache_root = (
             Path(cache_dir) if cache_dir is not None else default_cache_dir()
         )
@@ -613,7 +594,6 @@ class SweepEngine:
             stats=self.stats,
             on_result=on_result,
             on_retry=on_retry,
-            store=self.cache,
         )
         failures: Dict[_PointKey, PointFailure] = {}
         for key, tf in task_failures.items():

@@ -23,31 +23,14 @@ Fault kinds
 ``cache``
     :class:`~repro.store.ResultStore` ``.put`` writes a corrupted entry
     (truncated body), so the next read must quarantine and recompute.
-``worker-kill``
-    A ``repro worker`` process calls ``os._exit`` before computing its
-    claimed unit — its heartbeat goes stale and the coordinator
-    requeues its leases.  Only fires in processes that called
-    :func:`mark_worker_process` (the ``repro worker`` CLI), never in a
-    test harness running the worker in-process.
-``heartbeat-stall``
-    A ``repro worker`` suspends heartbeat *and* lease refresh for
-    ``secs`` (default 30) before computing — the "stalled without
-    crashing" failure mode: long enough stalls trip the coordinator's
-    lease expiry.  Worker-process-only, like ``worker-kill``.
-``lease-steal``
-    A ``repro worker`` deletes another worker's lease file before
-    computing, simulating a byzantine peer breaking a claim; the victim
-    still finishes and first-result-wins arbitration resolves the
-    duplicate.  Worker-process-only.
 
 Determinism
 -----------
 Every decision is a pure function of the spec's ``seed``, the fault
-kind, and a stable key — for ``crash``/``hang`` (and the distributed
-``worker-kill``/``heartbeat-stall``/``lease-steal`` kinds) the point's
-SHA-256 per-point seed *and the attempt number*, so a point that
-crashes on attempt 0 draws afresh on attempt 1 and the retried run
-reproduces the fault-free result bit for bit.  ``solver`` draws are keyed on a
+kind, and a stable key — for ``crash``/``hang`` the point's SHA-256
+per-point seed *and the attempt number*, so a point that crashes on
+attempt 0 draws afresh on attempt 1 and the retried run reproduces the
+fault-free result bit for bit.  ``solver`` draws are keyed on a
 per-process call counter; ``cache`` draws on the cache key, so the same
 entry is corrupted on every write (the cache stays ineffective for that
 point, results stay correct).
@@ -73,26 +56,14 @@ __all__ = [
     "InjectedFault",
     "active_plan",
     "corrupt_cache_body",
-    "heartbeat_stall_secs",
-    "lease_steal_triggers",
-    "mark_worker_process",
     "maybe_solver_fault",
-    "maybe_worker_kill",
     "on_point_attempt",
     "parse_faults",
     "solver_fault_flags",
 ]
 
 ENV_VAR = "REPRO_FAULTS"
-FAULT_KINDS = (
-    "crash",
-    "hang",
-    "solver",
-    "cache",
-    "worker-kill",
-    "heartbeat-stall",
-    "lease-steal",
-)
+FAULT_KINDS = ("crash", "hang", "solver", "cache")
 
 #: Exit status of an injected worker crash (visible in core dumps/logs).
 CRASH_EXIT_CODE = 77
@@ -247,56 +218,3 @@ def corrupt_cache_body(cache_key: str, body: str) -> str:
         return body
     return body[: max(1, len(body) // 2)]
 
-
-# ----------------------------------------------------------------------
-# Distributed (file-queue worker) fault hooks
-# ----------------------------------------------------------------------
-# Armed only in real ``repro worker`` processes: the CLI entry point
-# calls mark_worker_process().  Tests that drive FileQueueWorker
-# in-process stay immune — an injected os._exit must never take down
-# the pytest process, just as crash/hang are gated to pool workers.
-_is_worker_process = False
-
-
-def mark_worker_process() -> None:
-    """Arm the distributed fault hooks for this process (CLI entry only)."""
-    global _is_worker_process
-    _is_worker_process = True
-
-
-def maybe_worker_kill(point_key: object, attempt: int) -> None:
-    """``worker-kill`` hook: die abruptly before computing a claimed unit.
-
-    Keyed like ``crash`` — the unit's first per-point seed and the
-    attempt number — so the retried attempt draws afresh and the
-    campaign converges to the bit-identical fault-free result.
-    """
-    plan = active_plan()
-    if plan is None or not _is_worker_process:
-        return
-    if plan.triggers("worker-kill", point_key, attempt):
-        os._exit(CRASH_EXIT_CODE)
-
-
-def heartbeat_stall_secs(point_key: object, attempt: int) -> Optional[float]:
-    """``heartbeat-stall`` duration for this unit attempt, or ``None``.
-
-    The worker suspends heartbeat/lease refresh and sleeps this long —
-    the decision and duration are returned (rather than slept here) so
-    the worker can freeze its own heartbeat thread around the sleep.
-    """
-    plan = active_plan()
-    if plan is None or not _is_worker_process:
-        return None
-    spec = plan.spec("heartbeat-stall")
-    if spec is None or not plan.triggers("heartbeat-stall", point_key, attempt):
-        return None
-    return spec.secs
-
-
-def lease_steal_triggers(point_key: object, attempt: int) -> bool:
-    """``lease-steal`` draw: should this worker break a peer's lease now?"""
-    plan = active_plan()
-    if plan is None or not _is_worker_process:
-        return False
-    return plan.triggers("lease-steal", point_key, attempt)

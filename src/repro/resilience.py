@@ -56,16 +56,8 @@ __all__ = [
 ]
 
 #: Failure taxonomy recorded on :class:`TaskFailure` / :class:`PointFailure`
-#: and in the checkpoint journal.  ``lease-expired`` and ``worker-dead``
-#: are charged by the distributed file-queue backend when orphaned work
-#: is requeued (see :mod:`repro.backends.filequeue`).
-FAILURE_KINDS = (
-    "timeout",
-    "worker-crash",
-    "exception",
-    "lease-expired",
-    "worker-dead",
-)
+#: and in the checkpoint journal.
+FAILURE_KINDS = ("timeout", "worker-crash", "exception")
 
 
 @dataclass(frozen=True)
@@ -82,22 +74,14 @@ class RetryPolicy:
         timed-out attempt's worker is presumed hung and terminated.
     backoff_base / backoff_cap:
         Attempt ``n`` (0-based) sleeps ``min(cap, base * 2**n)`` seconds
-        before its retry — capped exponential, jitter-free by default so
-        campaign wall-clock is reproducible.
-    jitter:
-        When enabled, :meth:`backoff` draws a decorrelated delay
-        uniformly from ``[base, min(cap, 3 × plain))`` instead of the
-        fixed exponential — this de-synchronises resubmission when many
-        distributed workers requeue leases after a mass expiry
-        (thundering herd).  Off by default: deterministic chaos replay
-        depends on jitter-free backoff.
+        before its retry — capped exponential, so campaign wall-clock is
+        reproducible.
     """
 
     max_retries: int = 2
     point_timeout: Optional[float] = None
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    jitter: bool = False
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -110,21 +94,8 @@ class RetryPolicy:
             raise ValueError("backoff parameters must be non-negative")
 
     def backoff(self, attempt: int) -> float:
-        """Delay before retry ``attempt`` (0-based).
-
-        Deterministic capped exponential by default; with
-        ``jitter=True``, a decorrelated draw from ``[base, min(cap,
-        3 × plain))`` so simultaneous requeuers spread out.
-        """
-        plain = min(self.backoff_cap, self.backoff_base * (2.0 ** attempt))
-        if not self.jitter:
-            return plain
-        import random
-
-        high = min(self.backoff_cap, 3.0 * plain)
-        if high <= self.backoff_base:
-            return plain
-        return random.uniform(self.backoff_base, high)
+        """Delay before retry ``attempt`` (0-based): capped exponential."""
+        return min(self.backoff_cap, self.backoff_base * (2.0 ** attempt))
 
 
 @dataclass

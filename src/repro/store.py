@@ -1,18 +1,17 @@
 """Shared content-addressed result store for sweep campaigns.
 
 :class:`ResultStore` is the on-disk JSON point cache of the sweep
-engine, promoted to a first-class shared store so that *any number of
-concurrent writers* — the in-process engine, pool workers, and the
-file-queue workers of :mod:`repro.backends` running on other hosts with
-a shared filesystem — can populate one directory safely:
+engine, a shared store so that *any number of concurrent writers* —
+two ``repro`` processes pointed at one ``$REPRO_CACHE_DIR``, say — can
+populate one directory safely:
 
 * Entries are **content-addressed**: the file name is the SHA-256 hash
   of the full :class:`~repro.simulator.config.SimulationConfig`
   (:func:`config_key`), which includes the deterministic per-point
-  seed, so identical work maps to identical keys on every host.
+  seed, so identical work maps to identical keys in every process.
 * Writes are **crash-consistent**: every writer writes to a unique
-  ``*.tmp`` name (pid + per-process counter, so two hosts or two
-  processes never collide) and publishes with an atomic ``rename`` —
+  ``*.tmp`` name (pid + per-process counter, so two processes never
+  collide) and publishes with an atomic ``rename`` —
   readers see either the old entry, the new entry, or a miss, never a
   torn file.  Concurrent writers of the same key are harmless: the
   entries are bit-identical by construction (results are pure functions
@@ -48,7 +47,6 @@ __all__ = [
     "CACHE_VERSION",
     "TMP_MAX_AGE_SECONDS",
     "ResultStore",
-    "atomic_write_json",
     "atomic_write_text",
     "config_key",
     "default_store_dir",
@@ -63,7 +61,7 @@ CACHE_VERSION = 3
 
 #: ``*.tmp`` files older than this are orphans of an interrupted writer
 #: and are removed by :meth:`ResultStore.clean_stale_tmp` (young ones may
-#: belong to a concurrently running writer — possibly on another host).
+#: belong to a concurrently running writer).
 TMP_MAX_AGE_SECONDS = 600.0
 
 #: Per-process counter making tmp names unique even within one process.
@@ -82,9 +80,8 @@ def config_key(cfg: SimulationConfig) -> str:
     """SHA-256 content address of a full simulation configuration.
 
     Derived from the JSON form of every config field (the per-point
-    seed included) plus the store format version — the same function on
-    every host, so distributed workers and the local engine share one
-    key space.
+    seed included) plus the store format version, so every process
+    sharing a store shares one key space.
     """
     payload = {"version": CACHE_VERSION, "config": asdict(cfg)}
     blob = json.dumps(payload, sort_keys=True, default=str)
@@ -102,10 +99,8 @@ def _unique_tmp(path: Path) -> Path:
     """A writer-unique sibling ``*.tmp`` name for ``path``.
 
     pid + per-process counter: concurrent processes (or two writes from
-    one process) never clobber each other's half-written file, even on a
-    filesystem shared between hosts (pids may collide across hosts, but
-    the counter plus the final atomic rename keep the protocol safe —
-    worst case two writers race to publish bit-identical content).
+    one process) never clobber each other's half-written file; at worst
+    two writers race to publish bit-identical content.
     """
     return path.with_suffix(f".{os.getpid()}.{next(_tmp_counter)}.tmp")
 
@@ -122,11 +117,6 @@ def atomic_write_text(path: Path, body: str) -> None:
         except OSError:
             pass
     os.replace(tmp, path)
-
-
-def atomic_write_json(path: Path, obj: object) -> None:
-    """:func:`atomic_write_text` of a sorted-key JSON document."""
-    atomic_write_text(Path(path), json.dumps(obj, sort_keys=True))
 
 
 def _is_number(value: object) -> bool:
@@ -146,11 +136,9 @@ class ResultStore:
     inspectable — and the point recomputed.  Reads never raise.
 
     Writes go through a unique ``*.tmp`` plus atomic rename
-    (:func:`atomic_write_text`), so any number of concurrent writers —
-    pool workers, distributed file-queue workers on other hosts, a
-    speculative duplicate of a straggling point — can share one store
-    directory: entries for the same key are bit-identical by
-    construction and last-rename-wins is harmless.
+    (:func:`atomic_write_text`), so any number of concurrent writers can
+    share one store directory: entries for the same key are
+    bit-identical by construction and last-rename-wins is harmless.
     """
 
     def __init__(self, root: "Path | str") -> None:

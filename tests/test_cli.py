@@ -139,46 +139,27 @@ class TestPanelCommands:
             main(["figure", "9"])
 
 
-class TestWorkerCommand:
-    def test_worker_defaults(self):
-        args = build_parser().parse_args(["worker", "/shared/campaign"])
-        assert args.command == "worker"
-        assert args.campaign_dir == "/shared/campaign"
-        assert args.id is None
-        assert args.poll == 0.2
-        assert args.heartbeat == 5.0
-        assert args.lease_duration == 60.0
-        assert args.once is False
-        assert args.max_units is None
-
-    def test_worker_flags_parsed(self):
-        args = build_parser().parse_args(
-            ["worker", "c", "--id", "w1", "--poll", "0.05",
-             "--heartbeat", "0.5", "--lease-duration", "10",
-             "--once", "--max-units", "3"]
-        )
-        assert args.id == "w1" and args.poll == 0.05
-        assert args.heartbeat == 0.5 and args.lease_duration == 10.0
-        assert args.once and args.max_units == 3
-
-    def test_worker_rejects_zero_max_units(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker", "c", "--max-units", "0"])
-
-
-class TestSweepBackendFlags:
-    def test_backend_default_none(self):
-        # None lets the engine fall back to $REPRO_BACKEND, then "local".
+class TestAllowFailuresFlag:
+    def test_allow_failures_default_off(self):
         args = build_parser().parse_args(["panel", "fig1_h40"])
-        assert args.backend is None
         assert args.allow_failures is False
 
-    def test_backend_and_allow_failures_parsed(self):
-        args = build_parser().parse_args(
-            ["figure", "1", "--backend", "file:/shared/c", "--allow-failures"]
-        )
-        assert args.backend == "file:/shared/c"
+    def test_allow_failures_parsed(self):
+        args = build_parser().parse_args(["figure", "1", "--allow-failures"])
         assert args.allow_failures is True
+
+
+class TestRetiredDistributedSurface:
+    """A script written for the retired file-queue backend fails loudly:
+    argparse rejects ``worker`` and ``--backend`` as usage errors (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [["worker", "/x"],
+                                      ["figure", "1", "--backend", "local"]])
+    def test_rejected_with_usage_exit_code(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class _StubEngine:
@@ -201,7 +182,7 @@ def _stub_failure():
     from types import SimpleNamespace
 
     return SimpleNamespace(
-        index=2, rate=0.12, kind="worker-dead", attempts=5, message="boom"
+        index=2, rate=0.12, kind="worker-crash", attempts=5, message="boom"
     )
 
 
@@ -290,8 +271,7 @@ class TestImportHygiene:
         """)
         env = dict(os.environ, PYTHONPATH=str(SRC),
                    REPRO_CACHE_DIR=str(cache_dir))
-        for var in ("REPRO_BACKEND", "REPRO_FAULTS"):
-            env.pop(var, None)
+        env.pop("REPRO_FAULTS", None)
         proc = subprocess.run(
             [sys.executable, "-c", code, json.dumps(argv or [])],
             env=env, capture_output=True, text=True, timeout=300)
@@ -321,7 +301,7 @@ class TestImportHygiene:
             "repro.simulator", "repro.backends", "repro.store",
         ) + self.POOL_MODULES) == []
 
-    def test_warm_store_figure_loads_no_engine_or_file_queue(self, tmp_path):
+    def test_warm_store_figure_loads_no_engine(self, tmp_path):
         argv = ["figure", "1", "--simulate", "--jobs", "1",
                 "--cycles", "1000"]
         self._modules_after(argv, tmp_path)  # fills the store
@@ -330,5 +310,5 @@ class TestImportHygiene:
         assert self._loaded(modules, (
             "repro.simulator.network", "repro.simulator.span",
             "repro.simulator.kernel", "repro.simulator.engine",
-            "repro.simulator.soa", "repro.backends.filequeue",
+            "repro.simulator.soa",
         ) + self.POOL_MODULES) == []

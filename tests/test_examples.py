@@ -70,6 +70,7 @@ def test_design_space_sweep():
     out = run_example("design_space_sweep.py")
     assert "Q1" in out and "Q2" in out and "Q3" in out
     assert "sat * Lm" in out
+    assert "unsupported" not in out  # k=2 is the binary hypercube model
 
 
 def test_bursty_traffic():

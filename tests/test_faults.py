@@ -4,10 +4,7 @@ Parsing of ``REPRO_FAULTS`` specs, determinism of the trigger draws, and
 each injection site: solver faults become FAILED fixed-point *records*
 (scalar and batched, other rows unharmed), cache faults write corrupted
 entries that the hardened cache quarantines and recomputes, and the
-crash/hang hooks never fire in the parent process.  The distributed
-worker kinds (``worker-kill``, ``heartbeat-stall``, ``lease-steal``) are
-additionally gated on ``mark_worker_process()`` so they only ever fire
-inside a ``repro worker`` process.
+crash/hang hooks never fire in the parent process.
 """
 
 import os
@@ -46,6 +43,7 @@ class TestParse:
         "raw, match",
         [
             ("explode:rate=0.5", "unknown fault kind"),
+            ("worker-kill", "REPRO_FAULTS: unknown fault kind 'worker-kill'"),
             ("crash;crash:rate=0.5", "duplicate"),
             ("crash:frequency=2", "bad parameter"),
             ("crash:rate", "bad parameter"),
@@ -238,72 +236,3 @@ class TestCacheInjection:
         assert first.simulation == clean.simulation
         assert second.simulation == clean.simulation
         assert list((tmp_path / "corrupt").glob("*.json"))
-
-
-class TestWorkerFaultKinds:
-    """The distributed-backend fault kinds and their process gating."""
-
-    def test_parse_worker_kinds(self):
-        plan = parse_faults(
-            "worker-kill:rate=0.4,seed=3;"
-            "heartbeat-stall:rate=0.2,seed=5,secs=2.5;"
-            "lease-steal:rate=0.1,seed=8"
-        )
-        assert plan.spec("worker-kill").rate == 0.4
-        stall = plan.spec("heartbeat-stall")
-        assert stall.seed == 5 and stall.secs == 2.5
-        assert plan.spec("lease-steal").seed == 8
-
-    def test_hooks_inert_outside_worker_process(self, monkeypatch):
-        # rate=1 would fire on every draw — but only processes entered
-        # through `repro worker` arm these hooks, so a coordinator (or
-        # this pytest process) must survive untouched.
-        monkeypatch.setenv(
-            faults.ENV_VAR,
-            "worker-kill;heartbeat-stall:secs=60;lease-steal",
-        )
-        assert faults._is_worker_process is False
-        faults.maybe_worker_kill(123, 0)  # returns: still alive
-        assert faults.heartbeat_stall_secs(123, 0) is None
-        assert faults.lease_steal_triggers(123, 0) is False
-
-    def test_hooks_inert_without_plan_even_when_armed(self, monkeypatch):
-        monkeypatch.delenv(faults.ENV_VAR, raising=False)
-        monkeypatch.setattr(faults, "_is_worker_process", True)
-        faults.maybe_worker_kill(123, 0)
-        assert faults.heartbeat_stall_secs(123, 0) is None
-        assert faults.lease_steal_triggers(123, 0) is False
-
-    def test_armed_hooks_draw_deterministically(self, monkeypatch):
-        monkeypatch.setenv(
-            faults.ENV_VAR,
-            "heartbeat-stall:rate=1,secs=3.5;lease-steal:rate=1",
-        )
-        monkeypatch.setattr(faults, "_is_worker_process", True)
-        assert faults.heartbeat_stall_secs(123, 0) == 3.5
-        assert faults.lease_steal_triggers(123, 0) is True
-        monkeypatch.setenv(
-            faults.ENV_VAR,
-            "heartbeat-stall:rate=0,secs=3.5;lease-steal:rate=0",
-        )
-        assert faults.heartbeat_stall_secs(123, 0) is None
-        assert faults.lease_steal_triggers(123, 0) is False
-
-    def test_worker_kill_exits_with_crash_code(self, monkeypatch):
-        # The kill hook calls os._exit — observe it from outside.
-        import subprocess
-        import sys
-
-        code = (
-            "import repro.faults as faults\n"
-            "faults.mark_worker_process()\n"
-            "faults.maybe_worker_kill(123, 0)\n"
-            "print('survived')\n"
-        )
-        env = dict(os.environ)
-        env[faults.ENV_VAR] = "worker-kill:rate=1"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True
-        )
-        assert proc.returncode == faults.CRASH_EXIT_CODE
-        assert b"survived" not in proc.stdout

@@ -81,26 +81,6 @@ class TestRetryPolicy:
         assert policy.backoff(3) == pytest.approx(0.5)  # capped
         assert policy.backoff(10) == pytest.approx(0.5)
 
-    def test_backoff_jitter_off_by_default(self):
-        # Deterministic chaos replay depends on jitter-free backoff, so
-        # the default must stay the plain capped exponential: repeated
-        # calls for the same attempt return the exact same delay.
-        policy = RetryPolicy(backoff_base=0.1, backoff_cap=0.5)
-        assert policy.jitter is False
-        assert [policy.backoff(2) for _ in range(5)] == [policy.backoff(2)] * 5
-
-    def test_backoff_jitter_draws_within_decorrelated_band(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_cap=10.0, jitter=True)
-        plain = 0.1 * 2.0**2
-        draws = [policy.backoff(2) for _ in range(200)]
-        assert all(0.1 <= d <= 3.0 * plain for d in draws)
-        assert len(set(draws)) > 1, "jittered backoff never varied"
-
-    def test_backoff_jitter_degenerate_band_falls_back_to_plain(self):
-        # cap == base leaves no room to jitter: plain delay, no draw.
-        policy = RetryPolicy(backoff_base=0.5, backoff_cap=0.5, jitter=True)
-        assert [policy.backoff(a) for a in range(3)] == [0.5, 0.5, 0.5]
-
     @pytest.mark.parametrize(
         "kwargs",
         [

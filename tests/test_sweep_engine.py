@@ -23,6 +23,7 @@ import time
 import pytest
 
 import repro.experiments.sweep as sweep_mod
+from repro.backends import InlineBackend, LocalPoolBackend
 from repro.core.model import HotSpotLatencyModel
 from repro.core.uniform import UniformLatencyModel
 from repro.experiments import PanelSpec, SweepEngine, get_panel, point_seed
@@ -497,13 +498,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"point_timeout.*jobs=1"):
             SweepEngine(jobs=1, point_timeout=5)
 
-    def test_point_timeout_rejected_on_file_backend(self, tmp_path):
-        with pytest.raises(ValueError, match=r"point_timeout.*jobs="):
-            SweepEngine(jobs=2, point_timeout=5, backend=f"file:{tmp_path}")
-
     def test_point_timeout_accepted_on_pool(self):
         engine = SweepEngine(jobs=2, point_timeout=5, use_cache=False)
         assert engine.policy.point_timeout == 5
+
+    def test_engine_default_backend_is_local(self):
+        engine = SweepEngine(jobs=3)
+        assert isinstance(engine.backend, LocalPoolBackend)
+        assert engine.backend.jobs == 3
+        engine = SweepEngine(jobs=1)
+        assert isinstance(engine.backend, InlineBackend)
 
     def test_model_only_panel_has_no_simulation(self):
         result = SweepEngine(use_cache=False).run_panel(
