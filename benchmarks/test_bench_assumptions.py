@@ -1,8 +1,8 @@
 """Assumption ablations run on the flit-level simulator.
 
 Each of the paper's modelling assumptions that the simulator can toggle
-gets a benchmark quantifying its effect (EXPERIMENTS.md records the
-outcomes):
+gets a benchmark quantifying its effect (``benchmarks/results/``
+records the outcomes):
 
 * assumption (iv) instantaneous ejection  → ``model_ejection=True``;
 * unidirectional links (§2)              → ``bidirectional=True``;

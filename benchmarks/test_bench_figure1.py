@@ -2,7 +2,8 @@
 
 Three panels — h = 20%, 40%, 70% on the 256-node torus — each producing
 the model-vs-simulation latency series the paper plots.  The assertions
-encode the *shape* claims (not absolute numbers; see EXPERIMENTS.md):
+encode the *shape* claims (not absolute numbers; the tables are in
+``benchmarks/results/``):
 
 * both curves rise monotonically and saturate within the panel's grid;
 * the model tracks the simulation at light/moderate load;
@@ -15,8 +16,13 @@ import math
 import pytest
 
 from benchmarks.conftest import bench_jobs, save_table
-from repro.experiments import format_panel_table, get_panel, run_panel, shape_metrics
-from repro.experiments.runner import sim_measure_cycles
+from repro.experiments import (
+    SweepEngine,
+    format_panel_table,
+    get_panel,
+    shape_metrics,
+    sim_measure_cycles,
+)
 
 _SAT_KNEES = {}
 
@@ -26,8 +32,8 @@ def _run_and_check(benchmark, results_dir, panel_name):
     measure = sim_measure_cycles(60_000)
 
     result = benchmark.pedantic(
-        lambda: run_panel(
-            spec, measure_cycles=measure, seed=2005, jobs=bench_jobs()
+        lambda: SweepEngine(jobs=bench_jobs(), use_cache=False).run_panel(
+            spec, measure_cycles=measure, seed=2005
         ),
         rounds=1,
         iterations=1,

@@ -17,9 +17,9 @@ import os
 import sys
 
 from repro.experiments import (
+    SweepEngine,
     format_panel_table,
     get_panel,
-    run_panel,
     shape_metrics,
     sim_jobs,
 )
@@ -32,7 +32,8 @@ def main() -> None:
     measure = 12_000 if quick else None  # None -> REPRO_SIM_CYCLES/default
     jobs = sim_jobs()
     print(f"running {spec.description} (model + simulation, jobs={jobs})...\n")
-    result = run_panel(spec, measure_cycles=measure, jobs=jobs)
+    engine = SweepEngine(jobs=jobs, use_cache=False)
+    result = engine.run_panel(spec, measure_cycles=measure)
     print(format_panel_table(result))
     metrics = shape_metrics(result)
     print()

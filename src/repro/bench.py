@@ -228,7 +228,7 @@ def measure_sweep(*, jobs: int = 2) -> Dict[str, object]:
     )
     engine = SweepEngine(jobs=jobs, use_cache=False)
     t0 = time.perf_counter()
-    sweep = engine.simulation_sweep(spec, measure_cycles=2_000)
+    sweep = engine.run_panel(spec, measure_cycles=2_000).simulation
     seconds = time.perf_counter() - t0
     points = len(sweep.points)
     return {

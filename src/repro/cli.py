@@ -243,10 +243,14 @@ def _cmd_saturation(args: argparse.Namespace) -> int:
         k=args.k, message_length=args.lm, hotspot_fraction=args.h, num_vcs=args.vcs
     )
     sat = model.saturation_rate(hi=0.05)
-    bound = 1.0 / (args.h * args.k * (args.k - 1) * (args.lm + 1)) if args.h else None
     print(f"saturation rate: {sat:.6g} messages/cycle/node")
-    if bound:
-        print(f"hot-sink bandwidth bound lam*h*k(k-1)*(Lm+1)=1: {bound:.6g} "
+    if args.h > 0:
+        # The busiest channel, the hot ring's last hop into the hot node,
+        # carries lam*(k-1)*((1-h)/2 + h*k) messages of Lm flits a cycle
+        # (eqs 3 and 7): no steady state exists once that reaches 1.
+        k, h = args.k, args.h
+        bound = 1.0 / (args.lm * (k - 1) * ((1 - h) / 2 + h * k))
+        print(f"hot-channel bandwidth bound (rho = 1): {bound:.6g} "
               f"(model at {sat / bound:.0%} of it)")
     return 0
 

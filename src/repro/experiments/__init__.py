@@ -9,15 +9,15 @@ flit-level simulator.
 * :mod:`~repro.experiments.figures` — the panel definitions (network,
   message length, h, load grid chosen to span zero → saturation exactly
   like the paper's axes).
-* :mod:`~repro.experiments.sweep` — the sweep engine: parallel
-  simulation points with deterministic per-point seeds, warm-started
-  model solves, and the on-disk result cache.
-* :mod:`~repro.experiments.runner` — the legacy one-call panel runners,
-  now thin wrappers over the engine at ``jobs=1`` (its in-process
-  backend).
+* :mod:`~repro.experiments.sweep` — the sweep engine: simulation
+  points with deterministic per-point seeds, in this process at
+  ``jobs=1`` or on a resilient process pool, warm-started model solves,
+  the on-disk result cache and the campaign journal.  Run a panel with
+  ``SweepEngine(...).run_panel``; ``run_panel_model_only`` is its
+  model-only shortcut.
 * :mod:`~repro.experiments.report` — renders the series as the ASCII
   tables the benchmarks print and computes the shape metrics recorded in
-  EXPERIMENTS.md.
+  ``benchmarks/results/``.
 """
 
 from repro._lazy import lazy_exports
@@ -28,10 +28,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "get_panel", "panels_of_figure",
     ),
     "repro.experiments.sweep": (
-        "PanelResult", "SweepEngine", "default_cache_dir", "point_seed",
+        "PanelResult", "SweepEngine", "point_seed", "run_panel_model_only",
         "sim_jobs", "sim_measure_cycles",
     ),
-    "repro.experiments.runner": ("run_panel", "run_panel_model_only"),
     "repro.experiments.report": (
         "format_panel_table", "shape_metrics", "ShapeMetrics",
     ),
@@ -47,12 +46,10 @@ __all__ = [
     "panels_of_figure",
     "PanelResult",
     "SweepEngine",
-    "default_cache_dir",
     "point_seed",
+    "run_panel_model_only",
     "sim_jobs",
     "sim_measure_cycles",
-    "run_panel",
-    "run_panel_model_only",
     "format_panel_table",
     "shape_metrics",
     "ShapeMetrics",

@@ -11,7 +11,7 @@ What must hold is the *shape*:
   paper's axes imply.
 
 :func:`shape_metrics` quantifies these; the benchmark harness asserts on
-them and EXPERIMENTS.md records them.
+them and the tables in ``benchmarks/results/`` record them.
 """
 
 from __future__ import annotations

@@ -10,23 +10,18 @@ One campaign loop
     grid point gets a *deterministic per-point seed* derived from
     ``(base seed, panel name, point index)`` via SHA-256
     (:func:`point_seed`), so results are bit-identical for any ``jobs``
-    value: ``jobs=1`` runs the points one at a time and never starts a
-    point past a panel's first saturated one, while ``jobs>1`` runs
-    them concurrently and cancels queued points past it as soon as it
-    is known.  Either way the series is truncated at the first
+    value.  ``jobs`` alone picks where points run:
+    ``jobs=1`` runs them one at a time in this process
+    (:func:`~repro.resilience.run_inline`) and never starts a point
+    past a panel's first saturated one, while ``jobs>1`` runs them
+    concurrently on a :class:`~repro.resilience.ResilientExecutor` pool
+    of ``jobs`` processes and cancels queued points past it as soon as
+    it is known.  Either way the series is truncated at the first
     saturated point, so the returned
     :class:`~repro.core.results.SweepResult` is identical.
 
-Two execution backends
-    Every campaign runs on a :class:`~repro.backends.SweepBackend`
-    picked from ``jobs`` alone: the
-    :class:`~repro.backends.InlineBackend` (in this process) for
-    ``jobs=1`` and the :class:`~repro.backends.LocalPoolBackend` (a
-    resilient pool of ``jobs`` processes) otherwise — results are
-    bit-identical on both.
-
 Fault tolerance
-    Points run under the backend's retry policy: on the pool every
+    Points run under the engine's retry policy: on the pool every
     attempt gets a wall-clock timeout (``point_timeout``), failed
     attempts are retried with capped exponential backoff
     (``max_retries``), a crashed worker rebuilds the pool and resubmits
@@ -73,9 +68,8 @@ On-disk result cache
     (unique-tmp + atomic rename), so two ``repro`` processes can share
     one store.
 
-The legacy entry points :func:`repro.experiments.runner.run_panel` and
-``run_panel_model_only`` delegate here with ``jobs=1``, which runs the
-same campaign loop on the in-process backend.
+:func:`run_panel_model_only` is the model-only shortcut of
+:meth:`SweepEngine.run_panel`.
 """
 
 from __future__ import annotations
@@ -89,7 +83,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.backends import InlineBackend, LocalPoolBackend
 from repro.core.model import HotSpotLatencyModel
 from repro.core.results import SweepPoint, SweepResult
 from repro.experiments.figures import PanelSpec
@@ -97,7 +90,9 @@ from repro.resilience import (
     CheckpointJournal,
     ExecutorStats,
     PointFailure,
+    ResilientExecutor,
     RetryPolicy,
+    run_inline,
 )
 from repro.simulator.config import SimulationConfig
 from repro.simulator.sim import Simulation
@@ -107,19 +102,14 @@ __all__ = [
     "PanelResult",
     "SweepEngine",
     "config_key",
-    "default_cache_dir",
     "point_seed",
+    "run_panel_model_only",
     "sim_jobs",
     "sim_measure_cycles",
 ]
 
 #: Bump when the checkpoint-journal campaign format changes.
 _JOURNAL_VERSION = 1
-
-
-def default_cache_dir() -> Path:
-    """Cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro/sweeps``."""
-    return default_store_dir()
 
 
 def sim_measure_cycles(default: int = 120_000) -> int:
@@ -223,22 +213,18 @@ class SweepEngine:
     Parameters
     ----------
     jobs:
-        Simulation worker processes; this alone picks the backend.
-        ``1`` (default) runs points one at a time in this process
-        (:class:`~repro.backends.InlineBackend`); ``>1`` runs the points
-        of every panel of a call on a pool of ``jobs`` processes
-        (:class:`~repro.backends.LocalPoolBackend`).  Each series is
-        truncated at its first saturated point, so results are
-        bit-identical for every ``jobs``.
+        Simulation worker processes; this alone picks where points run.
+        ``1`` (default) runs points one at a time in this process;
+        ``>1`` runs the points of every panel of a call on a
+        :class:`~repro.resilience.ResilientExecutor` pool of ``jobs``
+        processes.  Each series is truncated at its first saturated
+        point, so results are bit-identical for every ``jobs``.
     use_cache:
         Consult/populate the on-disk point cache (see module docstring).
     cache_dir:
-        Cache root; defaults to :func:`default_cache_dir`.  Also hosts
-        the campaign checkpoint journals (``journal/`` subdirectory).
-    warm_start:
-        Chain each model point's converged fixed-point state into the
-        next rate's solve (identical results to solver tolerance, far
-        fewer iterations).
+        Cache root; defaults to :func:`repro.store.default_store_dir`.
+        Also hosts the campaign checkpoint journals (``journal/``
+        subdirectory).
     max_retries:
         Extra attempts per simulation point after the first (default 2).
         Retried points re-run the same per-point seed, so results stay
@@ -248,15 +234,14 @@ class SweepEngine:
     point_timeout:
         Wall-clock seconds per point attempt.  A timed-out worker is
         presumed hung, terminated, and its point retried on a rebuilt
-        pool.  Only the local pool (``jobs > 1``) can enforce it, so
+        pool.  Only the pool (``jobs > 1``) can enforce it, so
         ``jobs=1`` raises :class:`ValueError`.  ``None`` (default)
         disables the deadline.
     backoff_base:
         Base of the capped exponential retry backoff (seconds).
     resume:
-        Default for :meth:`run_panels`'s ``resume``: restore
-        checkpointed points from the campaign journal instead of
-        recomputing them.
+        Restore checkpointed points from the campaign journal instead
+        of recomputing them.
 
     ``stats`` accumulates :class:`~repro.resilience.ExecutorStats`
     (retries, timeouts, pool rebuilds, terminal failures) across this
@@ -277,7 +262,6 @@ class SweepEngine:
         *,
         use_cache: bool = True,
         cache_dir: "Path | str | None" = None,
-        warm_start: bool = True,
         max_retries: int = 2,
         point_timeout: Optional[float] = None,
         backoff_base: float = 0.05,
@@ -286,7 +270,6 @@ class SweepEngine:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
-        self.warm_start = bool(warm_start)
         self.policy = RetryPolicy(
             max_retries=max_retries,
             point_timeout=point_timeout,
@@ -297,14 +280,11 @@ class SweepEngine:
         if point_timeout is not None and self.jobs == 1:
             raise ValueError(
                 f"point_timeout={point_timeout:g} can only be enforced on "
-                "the local process pool (jobs > 1); got jobs=1 on the "
-                "'local' backend"
+                "a process pool (jobs > 1); got jobs=1, which runs points "
+                "in this process"
             )
-        self.backend = (
-            InlineBackend() if self.jobs == 1 else LocalPoolBackend(self.jobs)
-        )
         self.cache_root = (
-            Path(cache_dir) if cache_dir is not None else default_cache_dir()
+            Path(cache_dir) if cache_dir is not None else default_store_dir()
         )
         self.cache = ResultStore(self.cache_root) if use_cache else None
         if self.cache is not None:
@@ -313,26 +293,15 @@ class SweepEngine:
     # ------------------------------------------------------------------
     # Model side
     # ------------------------------------------------------------------
-    def model_sweep(
-        self,
-        spec: PanelSpec,
-        *,
-        trip_averaging: bool = True,
-        label: Optional[str] = None,
-    ) -> SweepResult:
-        """Analytical-model curve for a panel (warm-started by default)."""
+    def model_sweep(self, spec: PanelSpec) -> SweepResult:
+        """Analytical-model curve for a panel (one warm-started solve)."""
         model = HotSpotLatencyModel(
             k=spec.k,
             message_length=spec.message_length,
             hotspot_fraction=spec.hotspot_fraction,
             num_vcs=spec.num_vcs,
-            trip_averaging=trip_averaging,
         )
-        return model.sweep(
-            spec.rates,
-            label=label or f"model:{spec.name}",
-            warm_start=self.warm_start,
-        )
+        return model.sweep(spec.rates, label=f"model:{spec.name}")
 
     # ------------------------------------------------------------------
     # Simulation side
@@ -389,124 +358,49 @@ class SweepEngine:
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    @staticmethod
-    def _journal_record(journal: Optional[CheckpointJournal], entry: dict) -> None:
-        if journal is not None:
-            journal.record(entry)
-
-    def _journal_done(
-        self,
-        journal: Optional[CheckpointJournal],
-        panel: str,
-        index: int,
-        cfg: SimulationConfig,
-        point: SweepPoint,
-        attempts: int,
-        source: str = "simulated",
-    ) -> None:
-        self._journal_record(
-            journal,
-            {
-                "event": "point",
-                "status": "done",
-                "panel": panel,
-                "index": index,
-                "config": config_key(cfg)[:16],
-                "rate": point.rate,
-                "latency": point.latency,
-                "saturated": point.saturated,
-                "attempts": attempts,
-                "source": source,
-            },
-        )
-
-    def _journal_failed(
-        self,
-        journal: Optional[CheckpointJournal],
-        failure: PointFailure,
-        cfg: SimulationConfig,
-    ) -> None:
-        self._journal_record(
-            journal,
-            {
-                "event": "point",
-                "status": "failed",
-                "panel": failure.panel,
-                "index": failure.index,
-                "config": config_key(cfg)[:16],
-                "kind": failure.kind,
-                "attempts": failure.attempts,
-                "message": failure.message,
-            },
-        )
-
-    def _journal_retry(
-        self,
-        journal: Optional[CheckpointJournal],
-        panel: str,
-        index: int,
-        kind: str,
-        attempt: int,
-    ) -> None:
-        self._journal_record(
-            journal,
-            {
-                "event": "retry",
-                "panel": panel,
-                "index": index,
-                "kind": kind,
-                "attempt": attempt,
-            },
-        )
-
     def _open_journal(
         self,
         specs: Sequence[PanelSpec],
         cfgs_by: Dict[str, List[SimulationConfig]],
         seed: int,
-        resume: bool,
     ) -> Tuple[Optional[CheckpointJournal], Dict[_PointKey, SweepPoint]]:
-        """Open (and maybe replay) the campaign's checkpoint journal.
+        """Open (and, on resume, replay) the campaign's checkpoint journal.
 
         Journaling is active whenever the cache is enabled (the journal
-        lives beside it) or a resume was requested; ``use_cache=False``
+        lives beside it) or the engine resumes; ``use_cache=False``
         without ``resume`` stays fully side-effect free.  Returns the
         open journal (or ``None``) plus the points restored from a
         resumed journal.
         """
-        if self.cache is None and not resume:
+        if self.cache is None and not self.resume:
             return None, {}
         cid = self._campaign_id(specs, cfgs_by, seed)
         path = self.journal_dir() / f"{cid}.jsonl"
-        journal = CheckpointJournal(path)
         done: Dict[_PointKey, SweepPoint] = {}
-        fresh = True
-        if resume and path.exists():
-            header, entries = CheckpointJournal.load(path)
-            if header is not None:
-                recorded = header.get("campaign")
-                if recorded not in (None, cid):
-                    raise ValueError(
-                        f"checkpoint journal {path} belongs to campaign "
-                        f"{recorded}, not {cid} — the panel set or its "
-                        "parameters changed; rerun without resume"
+        header, entries = (
+            CheckpointJournal.load(path) if self.resume else (None, [])
+        )
+        if header is not None:
+            recorded = header.get("campaign")
+            if recorded not in (None, cid):
+                raise ValueError(
+                    f"checkpoint journal {path} belongs to campaign "
+                    f"{recorded}, not {cid} — the panel set or its "
+                    "parameters changed; rerun without resume"
+                )
+            for entry in entries:
+                if entry.get("event") != "point" or entry.get("status") != "done":
+                    continue
+                try:
+                    key = (str(entry["panel"]), int(entry["index"]))
+                    done[key] = SweepPoint(
+                        rate=float(entry["rate"]),
+                        latency=float(entry["latency"]),
+                        saturated=bool(entry["saturated"]),
                     )
-                fresh = False
-                for entry in entries:
-                    if (
-                        entry.get("event") != "point"
-                        or entry.get("status") != "done"
-                    ):
-                        continue
-                    try:
-                        key = (str(entry["panel"]), int(entry["index"]))
-                        done[key] = SweepPoint(
-                            rate=float(entry["rate"]),
-                            latency=float(entry["latency"]),
-                            saturated=bool(entry["saturated"]),
-                        )
-                    except (KeyError, TypeError, ValueError):
-                        continue
+                except (KeyError, TypeError, ValueError):
+                    continue
+        journal = CheckpointJournal(path)
         journal.start(
             {
                 "event": "campaign",
@@ -515,7 +409,7 @@ class SweepEngine:
                 "seed": seed,
                 "panels": {s.name: len(cfgs_by[s.name]) for s in specs},
             },
-            fresh=fresh,
+            fresh=header is None,
         )
         return journal, done
 
@@ -527,7 +421,7 @@ class SweepEngine:
         done: Dict[_PointKey, SweepPoint],
         journal: Optional[CheckpointJournal],
     ) -> Tuple[Dict[_PointKey, SweepPoint], Dict[_PointKey, PointFailure]]:
-        """Run every needed point of every panel on the backend.
+        """Run every needed point of every panel.
 
         Restored and cached points are taken first, in grid order, up to
         each panel's first saturated one; the rest become one-point
@@ -535,14 +429,21 @@ class SweepEngine:
         points past it — the series is truncated there anyway.
         """
         points: Dict[_PointKey, SweepPoint] = {}
-        known_sat: Dict[str, int] = {}
+        known_sat: Dict[str, int] = {}  # panel -> earliest saturated index simulated
 
-        def note(key: _PointKey, point: SweepPoint) -> None:
-            points[key] = point
-            if point.saturated:
-                panel, i = key
-                if panel not in known_sat or i < known_sat[panel]:
-                    known_sat[panel] = i
+        def log(key: _PointKey, event: str = "point",
+                point: Optional[SweepPoint] = None, **fields) -> None:
+            """Append one journal line about ``key``: a ``point`` line
+            names its config, and one given the ``point`` marks it done."""
+            if journal is None:
+                return
+            panel, i = key
+            if event == "point":
+                fields["config"] = config_key(cfgs_by[panel][i])[:16]
+            if point is not None:
+                fields.update(status="done", rate=point.rate,
+                              latency=point.latency, saturated=point.saturated)
+            journal.record({"event": event, "panel": panel, "index": i, **fields})
 
         tasks: Dict[_PointKey, tuple] = {}
         for spec in specs:
@@ -552,14 +453,11 @@ class SweepEngine:
                 if point is None and self.cache is not None:
                     point = self.cache.get(cfg)
                     if point is not None:
-                        self._journal_done(
-                            journal, spec.name, i, cfg, point,
-                            attempts=0, source="cache",
-                        )
+                        log(key, point=point, attempts=0, source="cache")
                 if point is None:
                     tasks[key] = (cfg,)
                     continue
-                note(key, point)
+                points[key] = point
                 if point.saturated:
                     break  # past a known saturated rate — never needed
         if not tasks:
@@ -567,48 +465,47 @@ class SweepEngine:
 
         def on_result(key: _PointKey, point: SweepPoint, attempts: int):
             panel, i = key
-            cfg = cfgs_by[panel][i]
             if self.cache is not None:
-                self.cache.put(cfg, point)
-            self._journal_done(journal, panel, i, cfg, point, attempts=attempts)
-            before = known_sat.get(panel)
-            note(key, point)
-            after = known_sat.get(panel)
-            if after is not None and after != before:
+                self.cache.put(cfgs_by[panel][i], point)
+            log(key, point=point, attempts=attempts, source="simulated")
+            points[key] = point
+            if point.saturated and i < known_sat.get(panel, math.inf):
                 # Saturation found (or moved earlier): drop queued points
                 # past it — the series is truncated there anyway.
+                known_sat[panel] = i
                 return [
                     (panel, j)
-                    for j in range(after + 1, len(cfgs_by[panel]))
+                    for j in range(i + 1, len(cfgs_by[panel]))
                     if (panel, j) in tasks
                 ]
             return None
 
         def on_retry(key: _PointKey, kind: str, attempt: int) -> None:
-            self._journal_retry(journal, key[0], key[1], kind, attempt)
+            log(key, "retry", kind=kind, attempt=attempt)
 
-        _, task_failures = self.backend.run(
-            _simulate_point,
-            tasks,
-            policy=self.policy,
-            stats=self.stats,
-            on_result=on_result,
-            on_retry=on_retry,
-        )
+        if self.jobs == 1:  # jobs alone picks: this process, or a pool
+            _, task_failures = run_inline(
+                _simulate_point, tasks, policy=self.policy, stats=self.stats,
+                on_result=on_result, on_retry=on_retry,
+            )
+        else:
+            executor = ResilientExecutor(self.jobs, self.policy, stats=self.stats)
+            _, task_failures = executor.run(
+                _simulate_point, tasks, on_result=on_result, on_retry=on_retry
+            )
         failures: Dict[_PointKey, PointFailure] = {}
         for key, tf in task_failures.items():
             panel, i = key
-            cfg = cfgs_by[panel][i]
-            failure = PointFailure(
+            failures[key] = PointFailure(
                 panel=panel,
                 index=i,
-                rate=cfg.rate,
+                rate=cfgs_by[panel][i].rate,
                 kind=tf.kind,
                 attempts=tf.attempts,
                 message=tf.message,
             )
-            failures[key] = failure
-            self._journal_failed(journal, failure, cfg)
+            log(key, status="failed", kind=tf.kind, attempts=tf.attempts,
+                message=tf.message)
         return points, failures
 
     def _simulate_panels(
@@ -617,9 +514,6 @@ class SweepEngine:
         seed: int,
         measure_cycles: Optional[int],
         warmup_cycles: Optional[int],
-        *,
-        use_journal: bool,
-        resume: bool,
     ) -> Dict[str, SweepResult]:
         """Simulate every panel's grid; assemble truncated sweep series."""
         cfgs_by = {
@@ -628,10 +522,7 @@ class SweepEngine:
             )
             for spec in specs
         }
-        journal: Optional[CheckpointJournal] = None
-        done: Dict[_PointKey, SweepPoint] = {}
-        if use_journal:
-            journal, done = self._open_journal(specs, cfgs_by, seed, resume)
+        journal, done = self._open_journal(specs, cfgs_by, seed)
         try:
             points, failures = self._campaign(specs, cfgs_by, done, journal)
         finally:
@@ -640,7 +531,7 @@ class SweepEngine:
 
         # Reassemble each panel in grid order: failures before the stop
         # are recorded, the series truncates at its first saturated
-        # point, anything later is dropped — so every backend agrees bit
+        # point, anything later is dropped — so every ``jobs`` agrees bit
         # for bit.
         results: Dict[str, SweepResult] = {}
         for spec in specs:
@@ -659,24 +550,6 @@ class SweepEngine:
             results[spec.name] = sweep
         return results
 
-    def simulation_sweep(
-        self,
-        spec: PanelSpec,
-        *,
-        seed: int = 42,
-        measure_cycles: Optional[int] = None,
-        warmup_cycles: Optional[int] = None,
-    ) -> SweepResult:
-        """Simulator curve for one panel, truncated at first saturation."""
-        return self._simulate_panels(
-            [spec],
-            seed,
-            measure_cycles,
-            warmup_cycles,
-            use_journal=False,
-            resume=False,
-        )[spec.name]
-
     # ------------------------------------------------------------------
     # Panels and figures
     # ------------------------------------------------------------------
@@ -688,8 +561,6 @@ class SweepEngine:
         seed: int = 42,
         measure_cycles: Optional[int] = None,
         warmup_cycles: Optional[int] = None,
-        trip_averaging: bool = True,
-        resume: Optional[bool] = None,
     ) -> PanelResult:
         """Model (and optionally simulator) curves for one panel."""
         return self.run_panels(
@@ -698,8 +569,6 @@ class SweepEngine:
             seed=seed,
             measure_cycles=measure_cycles,
             warmup_cycles=warmup_cycles,
-            trip_averaging=trip_averaging,
-            resume=resume,
         )[spec.name]
 
     def run_panels(
@@ -710,8 +579,6 @@ class SweepEngine:
         seed: int = 42,
         measure_cycles: Optional[int] = None,
         warmup_cycles: Optional[int] = None,
-        trip_averaging: bool = True,
-        resume: Optional[bool] = None,
     ) -> Dict[str, PanelResult]:
         """Run several panels (e.g. a whole figure) as one campaign.
 
@@ -720,27 +587,23 @@ class SweepEngine:
         figure keeps all workers busy instead of draining panel by
         panel.  Results are keyed by panel name and identical to
         per-panel runs.  Each point's status is checkpointed to the
-        campaign's JSONL journal as it completes; ``resume=True``
-        (default: the engine's ``resume`` setting) restores
-        checkpointed points of an interrupted earlier run instead of
-        recomputing them.
+        campaign's JSONL journal as it completes; an engine built with
+        ``resume=True`` restores checkpointed points of an interrupted
+        earlier run instead of recomputing them.
         """
-        resume = self.resume if resume is None else bool(resume)
         sims: Dict[str, SweepResult] = {}
         if simulate:
-            sims = self._simulate_panels(
-                specs,
-                seed,
-                measure_cycles,
-                warmup_cycles,
-                use_journal=True,
-                resume=resume,
-            )
-        results: Dict[str, PanelResult] = {}
-        for spec in specs:
-            results[spec.name] = PanelResult(
+            sims = self._simulate_panels(specs, seed, measure_cycles, warmup_cycles)
+        return {
+            spec.name: PanelResult(
                 spec=spec,
-                model=self.model_sweep(spec, trip_averaging=trip_averaging),
+                model=self.model_sweep(spec),
                 simulation=sims.get(spec.name),
             )
-        return results
+            for spec in specs
+        }
+
+
+def run_panel_model_only(spec: PanelSpec) -> PanelResult:
+    """Evaluate the analytical model over the panel grid (fast)."""
+    return SweepEngine(use_cache=False).run_panel(spec, simulate=False)

@@ -22,6 +22,10 @@ module is the resilience layer underneath
     :class:`TaskFailure` records instead of propagating — one bad point
     never discards a panel's completed points.
 
+:func:`run_inline`
+    The same contract in the calling process, one task at a time: what
+    the sweep engine runs at ``jobs=1``.
+
 :class:`CheckpointJournal`
     An append-only JSONL journal of per-point status (done / failed /
     retried, config hash, failure taxonomy) written next to the sweep
@@ -53,6 +57,7 @@ __all__ = [
     "ResilientExecutor",
     "RetryPolicy",
     "TaskFailure",
+    "run_inline",
 ]
 
 #: Failure taxonomy recorded on :class:`TaskFailure` / :class:`PointFailure`
@@ -419,12 +424,63 @@ class ResilientExecutor:
         return self._abandon_pool(pool)
 
 
+def run_inline(
+    fn: Callable,
+    tasks: Mapping[Hashable, tuple],
+    *,
+    policy: RetryPolicy,
+    stats: ExecutorStats,
+    on_result: Optional[Callable] = None,
+    on_retry: Optional[Callable] = None,
+) -> Tuple[Dict[Hashable, object], Dict[Hashable, TaskFailure]]:
+    """Run every task one at a time, in order, in this process.
+
+    Same ``fn``, ``tasks``, callbacks and return value as
+    :meth:`ResilientExecutor.run`, under ``policy`` and counting into
+    ``stats``.  A task's retries run back to back (after the policy's
+    backoff) before the next task starts, and an ``on_result`` drop
+    takes effect before the next task starts.  ``policy.point_timeout``
+    cannot be enforced here — nothing can interrupt a task running in
+    the calling process — so the sweep engine only accepts a timeout on
+    the pool.
+    """
+    results: Dict[Hashable, object] = {}
+    failures: Dict[Hashable, TaskFailure] = {}
+    dropped: set = set()
+    for key, args in tasks.items():
+        if key in dropped:
+            continue
+        for attempt in range(policy.max_retries + 1):
+            stats.submitted += 1
+            try:
+                value = fn(*args, attempt)
+            except Exception as exc:
+                message = f"{type(exc).__name__}: {exc}"
+                if attempt == policy.max_retries:
+                    failures[key] = TaskFailure(
+                        key=key,
+                        kind="exception",
+                        attempts=attempt + 1,
+                        message=message,
+                    )
+                    stats.failures += 1
+                    break
+                stats.retries += 1
+                if on_retry is not None:
+                    on_retry(key, "exception", attempt)
+                time.sleep(policy.backoff(attempt))
+                continue
+            results[key] = value
+            stats.completed += 1
+            if on_result is not None:
+                dropped.update(on_result(key, value, attempt + 1) or ())
+            break
+    return results, failures
+
+
 # ----------------------------------------------------------------------
 # Checkpoint journal
 # ----------------------------------------------------------------------
-
-#: Bump when the journal line format changes incompatibly.
-JOURNAL_VERSION = 1
 
 
 class CheckpointJournal:
@@ -475,11 +531,21 @@ class CheckpointJournal:
 
     # -- writing -------------------------------------------------------
     def start(self, header: dict, *, fresh: bool) -> None:
-        """Open for writing; truncate and write ``header`` when ``fresh``."""
+        """Open for writing; truncate and write ``header`` when ``fresh``.
+
+        Appending after a torn last line (an interrupted writer) first
+        ends that line, so the next record starts a line of its own
+        instead of being glued onto the torn one and lost on :meth:`load`.
+        """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "w" if fresh else "a")
         if fresh:
             self.record(header)
+        elif self._fh.tell():
+            with open(self.path, "rb") as fh:
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    self._fh.write("\n")
 
     def record(self, entry: dict) -> None:
         if self._fh is None:

@@ -21,7 +21,7 @@ one generator, ``np.random.default_rng(config.seed)``, in this order:
    :meth:`~repro.traffic.patterns.DestinationPattern.draw_many` call.
 
 Nothing else draws from the generator, so a run is fully determined by
-``config.seed`` for any engine, job count and backend.  A window spans
+``config.seed`` for any engine and job count.  A window spans
 about ``backlog_limit / (N * rate)`` cycles — about as many arrivals as
 the backlog exit tolerates — so an overloaded point draws at most about
 one window it never admits, and the workload holds O(window) arrivals,

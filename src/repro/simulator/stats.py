@@ -15,8 +15,8 @@ one call per array: count, sum, sum of squares, minimum, maximum and hop
 total are exact integer reductions, and batch sums are cut at fixed
 completion counts with the unfinished batch carried to the next call.
 Exact sums do not depend on how a log is split into calls or on the
-order within a call, so every engine, job count and backend that
-delivers the same messages yields the same statistics, bit for bit.
+order within a call, so every engine and job count that delivers
+the same messages yields the same statistics, bit for bit.
 """
 
 from __future__ import annotations

@@ -64,6 +64,19 @@ class TestSaturationCommand:
         assert "saturation rate" in out
         assert "bandwidth bound" in out
 
+    @pytest.mark.parametrize("k, lm, h", [(16, 32, 0.2), (8, 16, 0.7)])
+    def test_bound_is_where_the_hot_channel_reaches_rho_1(self, capsys, k,
+                                                          lm, h):
+        from repro.traffic.rates import HotSpotRates
+
+        assert main(["saturation", "--k", str(k), "--lm", str(lm),
+                     "--h", str(h)]) == 0
+        line, = (line for line in capsys.readouterr().out.splitlines()
+                 if "bandwidth bound" in line)
+        printed = float(line.split(":")[1].split()[0])
+        rho_per_rate = HotSpotRates(k, 1.0, h).total_rate_y(1) * lm
+        assert printed == pytest.approx(1.0 / rho_per_rate, rel=1e-5)
+
 
 class TestSimulateCommand:
     def test_small_run(self, capsys):
@@ -113,8 +126,8 @@ class TestPanelCommands:
 
     @pytest.mark.parametrize("command", [["panel", "fig1_h40"], ["figure", "1"]])
     def test_point_timeout_in_process_exits_2(self, command, capsys):
-        # The in-process backend cannot interrupt a point: the deadline
-        # is refused up front instead of being silently ignored.
+        # A point running in this process cannot be interrupted: the
+        # deadline is refused up front instead of being silently ignored.
         argv = command + ["--simulate", "--jobs", "1", "--no-cache",
                           "--point-timeout", "5"]
         assert main(argv) == 2

@@ -10,14 +10,13 @@ from repro.experiments import (
     FIGURE1,
     FIGURE2,
     PanelResult,
+    SweepEngine,
     format_panel_table,
     get_panel,
-    run_panel,
     run_panel_model_only,
     shape_metrics,
 )
-from repro.experiments import sim_jobs
-from repro.experiments.runner import sim_measure_cycles
+from repro.experiments import sim_jobs, sim_measure_cycles
 
 
 class TestPanelSpecs:
@@ -90,7 +89,7 @@ class TestSimulatedRuns:
     def test_small_run_and_metrics(self):
         # Tiny measurement window: checks plumbing, not statistics.
         spec = get_panel("fig1_h70")
-        result = run_panel(
+        result = SweepEngine(use_cache=False).run_panel(
             spec, measure_cycles=6_000, warmup_cycles=1_000, seed=5
         )
         assert result.simulation is not None

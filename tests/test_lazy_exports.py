@@ -18,7 +18,6 @@ LAZY_PACKAGES = [
     "repro.core",
     "repro.experiments",
     "repro.simulator",
-    "repro.backends",
 ]
 
 #: Exports that are data, not classes or functions, with the module

@@ -12,12 +12,13 @@ The executor guarantees under test:
   instead of propagating;
 * ``on_result`` fires per completion and can drop queued tasks.
 
-The backend-agnostic cases (success, retry, terminal failure, drops,
-shared stats) also run on the in-process ``InlineBackend``, through the
-same ``SweepBackend.run`` contract.
+The cases that do not need a pool (success, retry, terminal failure,
+drops, shared stats) also run on ``run_inline``, the in-process runner
+the sweep engine uses at ``jobs=1``, through the same contract.
 
 The journal guarantees: per-line durability, truncated trailing lines
-skipped on load, header recovery.
+skipped on load (and ended before a resumed writer appends), header
+recovery.
 """
 
 import json
@@ -26,13 +27,13 @@ import time
 
 import pytest
 
-from repro.backends import InlineBackend, LocalPoolBackend
 from repro.resilience import (
     CheckpointJournal,
     ExecutorStats,
     ResilientExecutor,
     RetryPolicy,
     TaskFailure,
+    run_inline,
 )
 
 # Fast backoff so retry-heavy tests stay quick.
@@ -96,19 +97,21 @@ class TestRetryPolicy:
             RetryPolicy(**kwargs)
 
 
-class BackendContract:
-    """Cases every sweep backend passes, called through ``backend.run``.
+class RunnerContract:
+    """Cases both task runners pass.
 
-    A subclass names the backend under test with ``make_backend(jobs)``.
+    A subclass names the runner under test with ``make_runner(jobs)``,
+    a callable ``run(fn, tasks, *, policy, stats, on_result=None,
+    on_retry=None)``.
     """
 
     @staticmethod
-    def make_backend(jobs):
+    def make_runner(jobs):
         raise NotImplementedError
 
     def test_all_success(self):
         stats = ExecutorStats()
-        results, failures = self.make_backend(2).run(
+        results, failures = self.make_runner(2)(
             _ok, {i: (i,) for i in range(5)},
             policy=RetryPolicy(**FAST), stats=stats,
         )
@@ -121,7 +124,7 @@ class BackendContract:
     def test_transient_exception_retried(self):
         stats = ExecutorStats()
         retried = []
-        results, failures = self.make_backend(2).run(
+        results, failures = self.make_runner(2)(
             _fail_then_ok,
             {i: (i,) for i in range(3)},
             policy=RetryPolicy(max_retries=2, **FAST),
@@ -137,7 +140,7 @@ class BackendContract:
 
     def test_terminal_exception_becomes_failure_record(self):
         stats = ExecutorStats()
-        results, failures = self.make_backend(1).run(
+        results, failures = self.make_runner(1)(
             _always_fail, {0: (0,), 1: (1,)},
             policy=RetryPolicy(max_retries=1, **FAST), stats=stats,
         )
@@ -160,7 +163,7 @@ class BackendContract:
                 return [2, 3, 4]
             return None
 
-        results, failures = self.make_backend(1).run(
+        results, failures = self.make_runner(1)(
             _ok, {i: (i,) for i in range(5)},
             policy=RetryPolicy(**FAST), stats=ExecutorStats(),
             on_result=on_result,
@@ -173,26 +176,32 @@ class BackendContract:
     def test_shared_stats_accumulate(self):
         stats = ExecutorStats()
         for key in (0, 1):
-            self.make_backend(1).run(
+            self.make_runner(1)(
                 _ok, {key: (key,)}, policy=RetryPolicy(**FAST), stats=stats
             )
         assert stats.completed == 2
         assert stats.as_dict()["completed"] == 2
 
 
-class TestInlineBackend(BackendContract):
+class TestInlineBackend(RunnerContract):
+    """The contract on ``run_inline``, one task at a time in this process."""
+
     @staticmethod
-    def make_backend(jobs):
-        return InlineBackend()
+    def make_runner(jobs):
+        return run_inline
 
 
-class TestResilientExecutor(BackendContract):
-    """The contract on the local pool, plus the pool-only crash, hang
+class TestResilientExecutor(RunnerContract):
+    """The contract on the process pool, plus the pool-only crash, hang
     and timeout cases."""
 
     @staticmethod
-    def make_backend(jobs):
-        return LocalPoolBackend(jobs=jobs)
+    def make_runner(jobs):
+        def run(fn, tasks, *, policy, stats, **callbacks):
+            executor = ResilientExecutor(jobs, policy, stats=stats)
+            return executor.run(fn, tasks, **callbacks)
+
+        return run
 
     def test_worker_crash_rebuilds_pool_and_retries(self):
         ex = ResilientExecutor(1, RetryPolicy(max_retries=3, **FAST))
@@ -277,6 +286,24 @@ class TestCheckpointJournal:
         header, entries = CheckpointJournal.load(tmp_path / "nope.jsonl")
         assert header is None
         assert entries == []
+
+    def test_append_after_torn_line_keeps_every_record(self, tmp_path):
+        # A resumed writer appends after the torn line an interrupted one
+        # left: its first record must still load.
+        path = tmp_path / "camp.jsonl"
+        journal = CheckpointJournal(path)
+        journal.start({"event": "campaign"}, fresh=True)
+        journal.record({"event": "point", "index": 0})
+        journal.close()
+        with open(path, "a") as fh:
+            fh.write('{"event": "point", "ind')  # interrupted writer
+        journal = CheckpointJournal(path)
+        journal.start({"event": "campaign"}, fresh=False)
+        journal.record({"event": "point", "index": 1})
+        journal.record({"event": "point", "index": 2})
+        journal.close()
+        _, entries = CheckpointJournal.load(path)
+        assert [e["index"] for e in entries] == [0, 1, 2]
 
     def test_append_mode_preserves_existing_lines(self, tmp_path):
         path = tmp_path / "camp.jsonl"

@@ -11,6 +11,8 @@ The load-bearing guarantees:
   ``corrupt/`` and recomputed — reads never raise;
 * a crashing or permanently failing point becomes a structured
   ``PointFailure`` record while every other point survives;
+* every checkpoint-journal line carries the keys ``--resume`` and the
+  benchmark's journal statistics read;
 * warm-started model sweeps reproduce the cold curves with strictly
   fewer total fixed-point iterations.
 """
@@ -23,11 +25,10 @@ import time
 import pytest
 
 import repro.experiments.sweep as sweep_mod
-from repro.backends import InlineBackend, LocalPoolBackend
 from repro.core.model import HotSpotLatencyModel
 from repro.core.uniform import UniformLatencyModel
 from repro.experiments import PanelSpec, SweepEngine, get_panel, point_seed
-from repro.store import payload_checksum
+from repro.store import config_key, payload_checksum
 
 
 def tiny_panel(name="tiny", rates=(0.002, 0.01, 0.12, 0.18)):
@@ -431,6 +432,81 @@ class TestFailureRecords:
         assert len(seq.simulation.failures) == 1
 
 
+class _FlakySim(_FailingSim):
+    """Stand-in Simulation that also fails the first run of one rate."""
+
+    flaky_rate = None
+    tripped = False
+
+    def run(self):
+        cls = type(self)
+        if self.cfg.rate == cls.flaky_rate and not cls.tripped:
+            cls.tripped = True
+            raise RuntimeError("transient")
+        return super().run()
+
+
+class TestJournalFormat:
+    def test_every_line_kind_carries_its_keys(self, tmp_path, monkeypatch):
+        # --resume reads the done lines back; the benchmark counts every
+        # workload's attempted and failed points from `source`, `status`
+        # and the retry lines.  One point fails once, one always fails.
+        spec = tiny_panel()
+        _FlakySim.real = sweep_mod.Simulation
+        _FlakySim.flaky_rate = spec.rates[0]
+        _FlakySim.tripped = False
+        _FlakySim.bad_rate = spec.rates[1]
+        monkeypatch.setattr(sweep_mod, "Simulation", _FlakySim)
+        engine = SweepEngine(
+            jobs=1, cache_dir=tmp_path, max_retries=1, backoff_base=0.001
+        )
+        cfgs = engine._panel_configs(spec, 7, 3_000, 500)
+        cid = engine._campaign_id([spec], {spec.name: cfgs}, 7)
+        journal = engine.journal_dir() / f"{cid}.jsonl"
+
+        def run_and_read():
+            sim = engine.run_panel(
+                spec, seed=7, measure_cycles=3_000, warmup_cycles=500
+            ).simulation
+            lines = journal.read_text().splitlines()
+            return sim.points, [json.loads(line) for line in lines]
+
+        def point(i, **fields):
+            return {"event": "point", "panel": "tiny", "index": i,
+                    "config": config_key(cfgs[i])[:16], **fields}
+
+        def done(i, p, attempts, source):
+            return point(i, status="done", rate=p.rate, latency=p.latency,
+                         saturated=p.saturated, attempts=attempts,
+                         source=source)
+
+        def retry(i):
+            return {"event": "retry", "panel": "tiny", "index": i,
+                    "kind": "exception", "attempt": 0}
+
+        header = {"event": "campaign", "campaign": cid, "version": 1,
+                  "seed": 7, "panels": {"tiny": 4}}
+        failed = point(1, status="failed", kind="exception", attempts=2,
+                       message="RuntimeError: flaky point")
+
+        (p0, p2), lines = run_and_read()
+        assert p2.saturated
+        assert lines == [
+            header,
+            retry(0), done(0, p0, 2, "simulated"),
+            retry(1), done(2, p2, 1, "simulated"),
+            failed,
+        ]
+        # The rerun takes points 0 and 2 from the store and retries 1.
+        points, lines = run_and_read()
+        assert points == [p0, p2]
+        assert lines == [
+            header,
+            done(0, p0, 0, "cache"), done(2, p2, 0, "cache"),
+            retry(1), failed,
+        ]
+
+
 class TestWarmStart:
     def test_fig1_model_sweep_fewer_iterations(self):
         """Acceptance: a warm-started Figure-1 model sweep spends
@@ -502,12 +578,24 @@ class TestValidation:
         engine = SweepEngine(jobs=2, point_timeout=5, use_cache=False)
         assert engine.policy.point_timeout == 5
 
-    def test_engine_default_backend_is_local(self):
-        engine = SweepEngine(jobs=3)
-        assert isinstance(engine.backend, LocalPoolBackend)
-        assert engine.backend.jobs == 3
-        engine = SweepEngine(jobs=1)
-        assert isinstance(engine.backend, InlineBackend)
+    def test_jobs_picks_in_process_or_pool(self, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", RecordingPool
+        )
+        kwargs = dict(seed=7, measure_cycles=3_000, warmup_cycles=500)
+        SweepEngine(jobs=1, use_cache=False).run_panel(tiny_panel(), **kwargs)
+        assert pools == []
+        SweepEngine(jobs=3, use_cache=False).run_panel(tiny_panel(), **kwargs)
+        assert pools == [3]
 
     def test_model_only_panel_has_no_simulation(self):
         result = SweepEngine(use_cache=False).run_panel(
